@@ -90,8 +90,26 @@ def build_grid(interval, spec: GridSpec, extra_points=()) -> np.ndarray:
 
 
 def stacked_scores(model: Model, x: np.ndarray, betas) -> np.ndarray:
-    """Score matrices at all grid points for each beta, shape (J, n, m)."""
-    return np.stack([model.score_matrix(x, float(b)) for b in betas])
+    """Score matrices at all grid points for each beta, shape (J, n, m).
+
+    One broadcast call of ``model.score``; see :class:`Model` for the
+    contract (``x`` broadcasts against ``beta``, parameter axis last).
+    """
+    x = np.asarray(x, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    want = (len(betas), len(x), model.m)
+    contract = (
+        f"score of model {model.name!r} must broadcast x against beta and put "
+        f"the parameter axis last: x of shape (1, {len(x)}) and beta of shape "
+        f"({len(betas)}, 1) should give {want}"
+    )
+    try:
+        Fs = np.asarray(model.score(x[None, :], betas[:, None]))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ValueError(f"{contract}; the call raised {exc!r}") from exc
+    if Fs.shape != want:
+        raise ValueError(f"{contract}, got {Fs.shape}")
+    return Fs
 
 
 def info_stack(Fs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -421,8 +439,13 @@ def _exp3_local_design(beta: float) -> DesignMeasure:
 
     from .models import h_function
 
+    # bracket scan: h_function(0, x, 1, beta)^2 on the whole grid in one
+    # expression (e^{-beta * 0} = 1); only its argmax is used, to bracket
+    # the bounded refine of the scalar h_function below
     xs = np.linspace(1e-6, 1.0 - 1e-6, 1001)
-    vals = np.array([h_function(0.0, xx, 1.0, beta) ** 2 for xx in xs])
+    e2 = np.exp(-beta * xs)
+    e3 = math.exp(-beta)
+    vals = (xs * e2 * (1.0 - e3) + e3 * (e2 - 1.0)) ** 2
     k = int(np.argmax(vals))
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]

@@ -3,7 +3,9 @@
 Each model carries the Fisher score vector f(x, beta) (so that the pointwise
 information is the rank-one product f f^T), the design interval, and, where
 available, the analytic local D-optimal design.  Custom models can be built
-by instantiating :class:`Model` with a vectorized score function.
+by instantiating :class:`Model` with a vectorized score function: ``x``
+broadcasts against ``beta`` and the parameter axis is last, so one call
+scores every grid point under every parameter value.
 """
 
 from __future__ import annotations
@@ -23,6 +25,16 @@ class BetaDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Model:
+    """A regression model on a design interval.
+
+    ``score(x, beta)`` returns the Fisher score vectors with shape
+    ``np.broadcast_shapes(np.shape(x), np.shape(beta)) + (m,)``: ``x``
+    broadcasts against ``beta`` and the parameter axis is last.  The solvers
+    call it once with ``x[None, :]`` and ``betas[:, None]`` to get all score
+    matrices as a ``(J, n, m)`` stack.  :meth:`score_matrix` calls it with a
+    scalar ``beta`` only.
+    """
+
     name: str
     m: int
     m_eta: int
@@ -66,7 +78,7 @@ class Model:
 
 
 def _exp1_score(x, beta):
-    return (x * np.exp(-beta * x))[:, None]
+    return (x * np.exp(-beta * x))[..., None]
 
 
 def _exp1_local(beta):
@@ -76,7 +88,7 @@ def _exp1_local(beta):
 
 def _exp2_score(x, beta):
     e = np.exp(-beta * x)
-    return np.stack([np.ones_like(x), -x * e], axis=1)
+    return np.stack([np.ones_like(e), -x * e], axis=-1)
 
 
 def _exp2_local(beta):
@@ -87,14 +99,14 @@ def _exp3_score(x, beta):
     # alpha2 is fixed to 1: every determinant scales by alpha2^2 uniformly
     # over designs, so criteria ratios and maximizers do not depend on it.
     e = np.exp(-beta * x)
-    return np.stack([np.ones_like(x), e, -x * e], axis=1)
+    return np.stack([np.ones_like(e), e, -x * e], axis=-1)
 
 
 def _logistic_score(x, beta):
     # Scalar Fisher information e^{x-beta}/(1+e^{x-beta})^2; the score is
-    # its square root.
-    z = x - beta
-    return (np.exp(z / 2.0) / (1.0 + np.exp(z)))[:, None]
+    # its square root, written in |x-beta| so that exp cannot overflow.
+    a = -np.abs(x - beta)
+    return (np.exp(a / 2.0) / (1.0 + np.exp(a)))[..., None]
 
 
 def make_logistic(x_max: float = 30.0) -> Model:

@@ -108,7 +108,8 @@ def check_uniform_decrease(
     phi = envelope(z)
     mask = np.abs(z) > 0.0 if envelope.form == "power" else np.ones_like(q, bool)
     margins = np.where(mask, q - phi, -np.inf)
-    violations = int(np.count_nonzero(margins > 1e-12))
+    # fail closed: a NaN margin is a violation
+    violations = int(np.count_nonzero(~(margins <= 1e-12)))
     worst = float(margins.max())
 
     # largest band: scan pairs by scale distance until Q first drops below 1/2
@@ -186,7 +187,8 @@ def check_condition_2_9(
         else:
             raise ValueError(f"no dominance recipe for model {model.name!r}")
         margin = im - bound
-        violations += int(np.count_nonzero(margin > 1e-12 * np.maximum(im, 1e-300)))
+        violations += int(np.count_nonzero(
+            ~(margin <= 1e-12 * np.maximum(im, 1e-300))))
         worst = max(worst, float(margin.max()))
 
         # measured minimal c0 against the determinant-sum form

@@ -1,12 +1,11 @@
 """Acceptance gate: one check per shipped guarantee, one printed line each.
 
 Each test prints exactly one line, "ACCEPTANCE <n> (<what>): PASS|FAIL",
-bypassing capture so the verdicts always appear in the run log, and then
-asserts the same condition.
+with output capture suspended so the verdicts appear in every run log, and
+then asserts the same condition.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -84,20 +83,36 @@ BAYES_3000_REFEREE = ((0.00064, 0.0084, 0.0453, 0.1817),
                       (0.9544, 0.0389, 0.0054, 0.0014))
 
 
-def _report(num: int, what: str, ok: bool, detail: str = "") -> bool:
-    verdict = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {num} ({what}): {verdict}", file=sys.__stdout__,
-          flush=True)
-    if not ok and detail:
-        print(f"  detail: {detail}", file=sys.__stdout__, flush=True)
-    return ok
+@pytest.fixture
+def report(request, capsys):
+    """Prints the verdict with output capture suspended, on lines of its own,
+    so that it shows in every run, -q included."""
+    terminal = request.config.pluginmanager.get_plugin("terminalreporter")
+
+    def _report(num: int, what: str, ok: bool, detail: str = "") -> bool:
+        lines = [f"ACCEPTANCE {num} ({what}): {'PASS' if ok else 'FAIL'}"]
+        if not ok and detail:
+            lines.append(f"  detail: {detail}")
+        with capsys.disabled():
+            if terminal is None:
+                print("\n".join(lines), flush=True)
+                return ok
+            terminal.ensure_newline()  # after a file name
+            tw = request.config.get_terminal_writer()
+            if tw.width_of_current_line:  # after -q progress dots
+                tw.line()
+            for line in lines:
+                tw.line(line)
+        return ok
+
+    return _report
 
 
 def _merged(design: DesignMeasure) -> DesignMeasure:
     return canonical_merge(design, 1e-3, 1e-3)
 
 
-def test_acceptance_1_maximin_table(maximin_results):
+def test_acceptance_1_maximin_table(maximin_results, report):
     problems = []
     for B in (10, 40, 50):
         design, cert, seconds = maximin_results[B]
@@ -140,7 +155,7 @@ def test_acceptance_1_maximin_table(maximin_results):
         if ours < published:
             problems.append(f"B={B}: worst efficiency {ours:.6f} below the "
                             f"published design's {published:.6f}")
-    assert _report(1, "worst-case designs reproduce the reference table",
+    assert report(1, "worst-case designs reproduce the reference table",
                    not problems, "; ".join(problems))
 
 
@@ -161,7 +176,7 @@ def _bayes_derivative(points, weights, lo, hi, xs, panels=1000, order=8):
     ])
 
 
-def test_acceptance_2_bayes_table(bayes_results):
+def test_acceptance_2_bayes_table(bayes_results, report):
     problems = []
     columns = {**BAYES_TABLE, 3000: BAYES_3000_REFEREE}
     for B, (pts, wts) in columns.items():
@@ -195,11 +210,11 @@ def test_acceptance_2_bayes_table(bayes_results):
     d_pub = _bayes_derivative(p0, w0, 1.0, 3000.0, np.array([x_pub]))[0]
     if d_pub >= 1.0:
         problems.append(f"B=3000: derivative {d_pub:.4f} at x={x_pub:.3f}")
-    assert _report(2, "uniform-prior designs reproduce the reference table",
+    assert report(2, "uniform-prior designs reproduce the reference table",
                    not problems, "; ".join(problems))
 
 
-def test_acceptance_3_local_oracles():
+def test_acceptance_3_local_oracles(report):
     problems = []
     cases = (
         (EXP1, lambda b: (math.e * b) ** -2),
@@ -222,11 +237,11 @@ def test_acceptance_3_local_oracles():
             if rel > 1e-8:
                 problems.append(
                     f"{model.name} beta={beta:g}: criterion off by {rel:.2e}")
-    assert _report(3, "local solutions match the analytic oracles",
+    assert report(3, "local solutions match the analytic oracles",
                    not problems, "; ".join(problems))
 
 
-def test_acceptance_4_efficiency_closed_forms():
+def test_acceptance_4_efficiency_closed_forms(report):
     rng = np.random.default_rng(42)
     worst = 0.0
     # beta >= 1 keeps every local optimum interior, the closed form's domain
@@ -240,11 +255,11 @@ def test_acceptance_4_efficiency_closed_forms():
         got = q_efficiency(LOGISTIC, b, bt)
         want = q_logistic_closed(b, bt)
         worst = max(worst, abs(got - want) / want)
-    assert _report(4, "matrix efficiency matches closed forms on 1e4 pairs",
+    assert report(4, "matrix efficiency matches closed forms on 1e4 pairs",
                    worst <= 1e-10, f"worst relative error {worst:.2e}")
 
 
-def test_acceptance_5_envelope_and_band():
+def test_acceptance_5_envelope_and_band(report):
     betas = np.geomspace(1.0, 100.0, 200)
     rep = check_uniform_decrease(
         EXP1,
@@ -271,11 +286,11 @@ def test_acceptance_5_envelope_and_band():
         problems.append(
             f"measured band {lam:.4f} outside [{exact - h:.4f}, "
             f"{exact:.4f}], one spacing below the exact radius")
-    assert _report(5, "decay envelope holds and the half-band covers log 2",
+    assert report(5, "decay envelope holds and the half-band covers log 2",
                    not problems, "; ".join(problems))
 
 
-def test_acceptance_6_mixture_lower_bounds():
+def test_acceptance_6_mixture_lower_bounds(report):
     problems = []
     rep1 = verify_lower_bounds(EXP1, logarithm(), (1.0, math.exp(4.0)),
                                math.log(2.0))
@@ -291,7 +306,7 @@ def test_acceptance_6_mixture_lower_bounds():
                 f"{model.name}: min efficiency "
                 f"{rep.constants['min_efficiency']:.5f} below "
                 f"{rep.constants['efficiency_bound']:.5f}")
-    assert _report(6, "band-spaced mixtures meet the criterion floors",
+    assert report(6, "band-spaced mixtures meet the criterion floors",
                    not problems, "; ".join(problems))
 
 
@@ -325,7 +340,7 @@ def _perturbations(rng, points, weights, count=1000):
 
 
 def test_acceptance_7_certified_designs_are_unimprovable(
-    maximin_results, bayes_results
+    maximin_results, bayes_results, report
 ):
     rng = np.random.default_rng(2024)
     problems = []
@@ -353,11 +368,11 @@ def test_acceptance_7_certified_designs_are_unimprovable(
         )
         if gain > 1e-6:
             problems.append(f"bayes B={B}: improved by {gain:.2e}")
-    assert _report(7, "no certified design improves under 1000 perturbations",
+    assert report(7, "no certified design improves under 1000 perturbations",
                    not problems, "; ".join(problems))
 
 
-def test_acceptance_8_determinant_oracle_agreement():
+def test_acceptance_8_determinant_oracle_agreement(report):
     rng = np.random.default_rng(7)
     models = (EXP1, EXP2, EXP3, LOGISTIC)
     worst = 0.0
@@ -375,17 +390,19 @@ def test_acceptance_8_determinant_oracle_agreement():
         rel = abs(direct - cb) / denom
         if abs(direct - cb) > 1e-18:  # absolute floor for vanishing values
             worst = max(worst, rel)
-    assert _report(8, "closed-form and subset-sum determinants agree on 1e4 "
+    assert report(8, "closed-form and subset-sum determinants agree on 1e4 "
                       "designs", worst <= 1e-10,
                    f"worst relative error {worst:.2e}")
 
 
-def test_acceptance_9_support_count_ordering(maximin_results, bayes_results):
+def test_acceptance_9_support_count_ordering(
+    maximin_results, bayes_results, report
+):
     problems = []
     for B in (10, 40, 50, 100, 200):
         cm = support_count(maximin_results[B][0])
         cb = support_count(bayes_results[B][0])
         if cm < cb:
             problems.append(f"B={B}: maximin {cm} < bayes {cb}")
-    assert _report(9, "worst-case designs need at least as many points",
+    assert report(9, "worst-case designs need at least as many points",
                    not problems, "; ".join(problems))

@@ -1,6 +1,9 @@
 """Command-line interface and the JSON design artifacts."""
 
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +114,17 @@ class TestTheoryCommand:
         assert rc == 0
         text = capsys.readouterr().out
         assert "violations: 0" in text and "lambda:" in text
+
+    def test_q_decay_logistic_wide_range_is_finite(self, capsys):
+        # the CLI puts logistic on [0, 2005]; the score must not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["theory", "--check", "q-decay", "--model", "logistic",
+                       "--beta-range", "0:2000", "--samples", "6"])
+        assert rc == 0
+        text = capsys.readouterr().out
+        worst = re.search(r"worst margin: (\S+)", text).group(1)
+        assert math.isfinite(float(worst))
 
     def test_lower_bound_passes(self, capsys):
         rc = main(["theory", "--check", "lower-bound", "--model", "exp1",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from optdesign import (
     EXP1,
@@ -20,7 +21,13 @@ from optdesign import (
     solve_local,
 )
 from optdesign.design import det_info
-from optdesign.local import SingularInformationError, audit_grid, build_grid
+from optdesign.local import (
+    SingularInformationError,
+    _exp3_local_design,
+    audit_grid,
+    build_grid,
+)
+from optdesign.models import h_function
 
 
 class TestGridSpec:
@@ -151,3 +158,25 @@ class TestLocalDesignCache:
 
     def test_cache_returns_identical_object(self):
         assert local_design(EXP2, 9.0) is local_design(EXP2, 9.0)
+
+
+def _exp3_reference_design(beta):
+    """The EXP3 local design from a scalar h_function scan of the bracket."""
+    xs = np.linspace(1e-6, 1.0 - 1e-6, 1001)
+    vals = np.array([h_function(0.0, xx, 1.0, beta) ** 2 for xx in xs])
+    k = int(np.argmax(vals))
+    res = minimize_scalar(
+        lambda xx: -h_function(0.0, xx, 1.0, beta) ** 2,
+        bounds=(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    third = 1.0 / 3.0
+    return DesignMeasure((0.0, float(res.x), 1.0), (third, third, third))
+
+
+class TestExp3LocalDesign:
+    def test_vectorized_scan_matches_scalar_scan(self):
+        for beta in np.geomspace(0.01, 5000.0, 200):
+            beta = float(beta)
+            assert _exp3_local_design(beta) == _exp3_reference_design(beta)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optdesign import (
     EXP1,
@@ -20,7 +22,7 @@ from optdesign import (
     q_efficiency,
 )
 from optdesign.design import det_info
-from optdesign.local import local_design
+from optdesign.local import local_design, stacked_scores
 from optdesign.models import q_exp1_closed, q_logistic_closed
 
 
@@ -58,6 +60,66 @@ class TestModelSpec:
         m = make_logistic(12.0)
         assert m.design_interval == (0.0, 12.0)
         assert m.analytic_local(20.0).points[0] == 12.0
+
+
+def _domain_draws(model):
+    """x values in the design interval and beta values in the admissible
+    range, capped at 1e300 so that every draw is finite."""
+    lo, hi = model.design_interval
+    b_lo, b_hi = model.beta_range
+    xs = st.lists(st.floats(lo, hi), min_size=1, max_size=30)
+    betas = st.lists(st.floats(b_lo, min(b_hi, 1e300)), min_size=1, max_size=12)
+    return st.tuples(xs, betas)
+
+
+class TestBroadcastScores:
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3, LOGISTIC],
+                             ids=lambda m: m.name)
+    def test_stacked_scores_equal_per_beta_stack(self, model):
+        @given(_domain_draws(model))
+        @settings(max_examples=150, deadline=None)
+        def check(draw):
+            x, betas = (np.array(v, dtype=float) for v in draw)
+            Fs = stacked_scores(model, x, betas)
+            ref = np.stack([model.score_matrix(x, float(b)) for b in betas])
+            assert Fs.shape == (len(betas), len(x), model.m)
+            assert np.array_equal(Fs, ref)
+            assert np.all(np.isfinite(Fs))
+
+        check()
+
+    def test_scalar_only_score_is_rejected(self):
+        def scalar_beta_score(x, beta):
+            # ones_like(x) does not broadcast against an array of betas
+            e = np.exp(-beta * x)
+            return np.stack([np.ones_like(x), -x * e], axis=1)
+
+        def wrong_axis_score(x, beta):
+            return (x * np.exp(-beta * x))[:, None]
+
+        x = np.linspace(0.0, 1.0, 7)
+        for score, m, fixed in ((scalar_beta_score, 2, (0.0,)),
+                                (wrong_axis_score, 1, ())):
+            model = Model(name="scalar-only", m=m, m_eta=len(fixed),
+                          design_interval=(0.0, 1.0),
+                          beta_range=(1e-12, math.inf), score=score,
+                          fixed_support=fixed)
+            # the scalar-beta path keeps working
+            assert model.score_matrix(x, 2.0).shape == (7, m)
+            with pytest.raises(ValueError, match="broadcast x against beta"):
+                stacked_scores(model, x, [1.0, 2.0, 3.0])
+
+    def test_logistic_score_finite_far_from_beta(self):
+        model = make_logistic(2005.0)
+        x = np.array([0.0, 1000.0, 2005.0])
+        F = model.score_matrix(x, 0.0)[:, 0]
+        assert np.all(np.isfinite(F)) and F[0] == 0.5 and F[2] == 0.0
+        # the |x - beta| form agrees with e^{z/2} / (1 + e^z) where that
+        # form does not overflow
+        z = np.linspace(-700.0, 700.0, 2001)
+        old = np.exp(z / 2.0) / (1.0 + np.exp(z))
+        new = LOGISTIC.score(z, 0.0)[:, 0]
+        np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
 
 
 class TestAnalyticLocalDesigns:

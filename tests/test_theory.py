@@ -22,6 +22,7 @@ from optdesign import (
     growth_study,
     verify_lower_bounds,
 )
+from optdesign import theory
 from optdesign.theory import write_growth_csv
 from optdesign.scales import identity, logarithm
 
@@ -81,6 +82,23 @@ class TestUniformDecrease:
         assert not rep.passed
         assert rep.violations > 0 and rep.worst_margin > 0.0
 
+    def test_nan_efficiency_is_a_violation(self, monkeypatch):
+        real = theory._pairwise_q
+
+        def with_nan(*args):
+            q = real(*args)
+            q[0, 1] = math.nan
+            return q
+
+        monkeypatch.setattr(theory, "_pairwise_q", with_nan)
+        rep = check_uniform_decrease(
+            EXP1,
+            logarithm(),
+            DecayEnvelope("exponential", math.e**2, 2.0),
+            np.geomspace(1.0, 10.0, 20),
+        )
+        assert rep.violations == 1 and not rep.passed
+
 
 class TestGramDominance:
     def test_scalar_model(self):
@@ -95,6 +113,20 @@ class TestGramDominance:
         tuples = [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(20)]
         rep = check_condition_2_9(EXP2, tuples, np.geomspace(1.0, 20.0, 25))
         assert rep.passed
+
+    def test_nan_determinant_is_a_violation(self, monkeypatch):
+        betas = np.geomspace(1.0, 20.0, 25)
+        assert check_condition_2_9(EXP2, [(0.25, 0.5)], betas).passed
+        real = theory.gram_determinant
+
+        def nan_at_tuple(points, model, beta):
+            if points == (0.25, 0.5):
+                return math.nan
+            return real(points, model, beta)
+
+        monkeypatch.setattr(theory, "gram_determinant", nan_at_tuple)
+        rep = check_condition_2_9(EXP2, [(0.25, 0.5)], betas)
+        assert rep.violations == len(betas) and not rep.passed
 
     def test_three_parameter_model(self):
         rng = np.random.default_rng(4)
