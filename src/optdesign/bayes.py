@@ -15,20 +15,18 @@ from typing import Optional
 
 import numpy as np
 
-from .design import DesignMeasure, NEG_INF, default_merge, information_matrix, log_det
+from .design import DesignMeasure, NEG_INF, default_merge, information_matrix
 from .local import (
-    EquivalenceCertificate,
+    Criterion,
     GridSpec,
-    audit_grid,
+    _newton_weights,
     build_grid,
-    dirderiv_stack,
+    certify,
     info_stack,
-    local_logdet,
+    local_offsets,
     logdet_stack,
     maximize_weighted_logdet,
-    refine_grid,
     stacked_scores,
-    transfer_weights,
 )
 from .models import Model
 
@@ -143,8 +141,14 @@ def quadrature(prior: ParameterPrior):
     return nodes, weights / weights.sum()
 
 
-def _standardizing_offsets(model: Model, nodes) -> np.ndarray:
-    return np.array([local_logdet(model, float(b)) for b in nodes])
+def prior_criterion(
+    model: Model, prior: ParameterPrior, standardized: bool = False
+) -> Criterion:
+    """Quadrature mean of the log-determinant over the prior; standardized
+    offsets subtract the local optimum's log-determinant at each node."""
+    nodes, qw = quadrature(prior)
+    offsets = local_offsets(model, nodes) if standardized else np.zeros(len(nodes))
+    return Criterion(nodes, qw, offsets)
 
 
 def bayes_criterion(
@@ -157,29 +161,18 @@ def bayes_criterion(
 
     Returns the minus-infinity sentinel if M is singular at any node.
     """
-    nodes, qw = quadrature(prior)
-    vals = np.empty(len(nodes))
-    for j, b in enumerate(nodes):
-        vals[j] = log_det(information_matrix(design, model, float(b)))
-    if not np.all(np.isfinite(vals)):
+    crit = prior_criterion(model, prior, standardized)
+    g = crit.log_efficiencies(model, design)
+    if not np.all(np.isfinite(g)):
         return NEG_INF
-    if standardized:
-        vals = vals - _standardizing_offsets(model, nodes)
-    return float(qw @ vals)
+    return float(crit.q @ g)
 
 
 def averaged_directional_derivative(
     design: DesignMeasure, model: Model, prior: ParameterPrior, x
 ) -> np.ndarray:
     """Prior average of trace(M^{-1}(xi, beta) I(x, beta)) over x."""
-    from .local import directional_derivative
-
-    nodes, qw = quadrature(prior)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    acc = np.zeros(len(xs))
-    for b, q in zip(nodes, qw):
-        acc += q * directional_derivative(design, model, float(b), xs)
-    return acc
+    return prior_criterion(model, prior).derivative(model, design, x)
 
 
 def _polish_bayes(model: Model, nodes, qw, points, weights):
@@ -222,7 +215,8 @@ def solve_bayes(
     support locations, and an exchange loop inserts the worst audit point
     whenever the averaged-derivative certificate fails.
     """
-    nodes, qw = quadrature(prior)
+    crit = prior_criterion(model, prior)
+    nodes, qw = crit.betas, crit.q
     seeds = [
         model.analytic_local(float(b)) if model.analytic_local else None
         for b in (nodes[0], nodes[-1])
@@ -244,30 +238,18 @@ def solve_bayes(
 
     pts = rough.points_array()
     wts = rough.weights_array()
-    tol = 1e-6
     design, cert = rough, None
     for _ in range(8):
         pts, wts = _polish_bayes(model, nodes, qw, pts, wts)
         # exact weight solve at the polished support
-        from .local import _newton_weights
-
         wts, _ = _newton_weights(
             stacked_scores(model, pts, nodes), qw, wts, model.m
         )
         design = default_merge(DesignMeasure.from_arrays(pts, wts), model)
-        ax = audit_grid(model.design_interval, design)
-        d = averaged_directional_derivative(design, model, prior, ax)
-        worst = int(np.argmax(d))
-        cert = EquivalenceCertificate(
-            max_directional_derivative=float(d[worst]),
-            bound=float(model.m),
-            tolerance=tol,
-            worst_point=float(ax[worst]),
-            passed=bool(d[worst] <= model.m * (1.0 + tol)),
-        )
+        cert = certify(model, design, crit)
         if cert.passed:
             break
-        worst_x = float(ax[worst])
+        worst_x = cert.worst_point
         if min(abs(worst_x - p) for p in design.points) < 1e-8:
             break  # violation at an existing point: not a structure defect
         pts = np.append(design.points_array(), worst_x)

@@ -86,8 +86,8 @@ def _report_design(design, cert, out, model, criterion, plot_prefix) -> int:
 def _cmd_local(args) -> int:
     model = _model_for(args.model, args.beta)
     design, cert = solve_local(model, args.beta, GridSpec(count=args.grid))
-    return _report_design(design, cert, args.out, model,
-                          {"kind": "local", "beta": args.beta}, args.plot_data)
+    return _report_design(design, cert, args.out, model, args.beta,
+                          args.plot_data)
 
 
 def _cmd_bayes(args) -> int:
@@ -104,13 +104,7 @@ def _cmd_bayes(args) -> int:
     design, cert = solve_bayes(model, prior, GridSpec(count=args.grid))
     value = bayes_criterion(design, model, prior, standardized=True)
     print(f"standardized criterion: {value:.9f}")
-    criterion = {
-        "kind": "bayes",
-        "prior": {"kind": prior.kind, "params": list(prior.params),
-                  "quadrature_nodes": prior.quadrature_nodes},
-    }
-    return _report_design(design, cert, args.out, model, criterion,
-                          args.plot_data)
+    return _report_design(design, cert, args.out, model, prior, args.plot_data)
 
 
 def _cmd_maximin(args) -> int:
@@ -120,10 +114,7 @@ def _cmd_maximin(args) -> int:
     design, cert = solve_maximin(model, grid, GridSpec(count=args.grid))
     value, argmin = maximin_criterion(design, model, grid)
     print(f"worst efficiency: {value:.9f} at beta = {argmin:g}")
-    criterion = {"kind": "maximin", "beta_min": lo, "beta_max": hi,
-                 "count": grid.count, "spacing": grid.spacing}
-    return _report_design(design, cert, args.out, model, criterion,
-                          args.plot_data)
+    return _report_design(design, cert, args.out, model, grid, args.plot_data)
 
 
 def _cmd_verify(args) -> int:

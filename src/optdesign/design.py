@@ -150,7 +150,8 @@ def det_info(design: DesignMeasure, model, beta: float) -> float:
     """Determinant of the information matrix via the closed form.
 
     A design on fewer than m points is structurally singular, so that case
-    returns 0 exactly instead of cancellation noise.
+    returns 0 exactly instead of cancellation noise.  A non-finite
+    determinant (a NaN or infinite score) raises ArithmeticError.
     """
     model.check_beta(beta)
     model.check_points(design.points)
@@ -162,7 +163,10 @@ def det_info(design: DesignMeasure, model, beta: float) -> float:
         model.score_matrix(design.points_array(), beta), dtype=np.longdouble
     )
     w = design.weights_array().astype(np.longdouble)
-    return _det_closed(F.T @ (F * w[:, None]))
+    d = _det_closed(F.T @ (F * w[:, None]))
+    if not math.isfinite(d):
+        raise ArithmeticError(f"non-finite information determinant at beta={beta}")
+    return d
 
 
 def log_det(matrix: InfoMatrix) -> float:

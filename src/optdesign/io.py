@@ -10,15 +10,15 @@ be re-audited later without re-running the solver.
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
 
-from .bayes import ParameterPrior, averaged_directional_derivative
+from .bayes import ParameterPrior, prior_criterion
 from .design import DesignMeasure
-from .local import EquivalenceCertificate, audit_grid, directional_derivative
-from .maximin import BetaGrid, _certify, _local_offsets
+from .local import Criterion, EquivalenceCertificate, certify
+from .maximin import BetaGrid
 from .models import Model, get_model, make_logistic
 
 
@@ -33,23 +33,12 @@ def design_from_json(text: str) -> DesignMeasure:
 def _criterion_dict(criterion) -> dict:
     if isinstance(criterion, dict):
         return criterion
+    if isinstance(criterion, (int, float)):
+        return {"kind": "local", "beta": float(criterion)}
     if isinstance(criterion, ParameterPrior):
-        return {
-            "kind": "bayes",
-            "prior": {
-                "kind": criterion.kind,
-                "params": list(criterion.params),
-                "quadrature_nodes": criterion.quadrature_nodes,
-            },
-        }
+        return {"kind": "bayes", "prior": asdict(criterion)}
     if isinstance(criterion, BetaGrid):
-        return {
-            "kind": "maximin",
-            "beta_min": criterion.beta_min,
-            "beta_max": criterion.beta_max,
-            "count": criterion.count,
-            "spacing": criterion.spacing,
-        }
+        return {"kind": "maximin", **asdict(criterion)}
     raise TypeError(f"cannot describe criterion {criterion!r}")
 
 
@@ -86,39 +75,32 @@ def _model_from_doc(doc: dict) -> Model:
     return model
 
 
+def _prior(criterion: dict) -> ParameterPrior:
+    p = criterion["prior"]
+    return ParameterPrior(p["kind"], tuple(p["params"]),
+                          p.get("quadrature_nodes", 200))
+
+
+def _criterion(model: Model, criterion: dict) -> Criterion:
+    """The Criterion that a stored criterion description stands for."""
+    kind = criterion["kind"]
+    if kind == "local":
+        return Criterion.local(float(criterion["beta"]))
+    if kind == "bayes":
+        return prior_criterion(model, _prior(criterion))
+    if kind == "maximin":
+        grid = BetaGrid(criterion["beta_min"], criterion["beta_max"],
+                        criterion.get("count", 400),
+                        criterion.get("spacing", "log"))
+        return Criterion.maximin(model, grid.values)
+    raise ValueError(f"unknown criterion kind {kind!r}")
+
+
 def recertify(
-    model: Model, design: DesignMeasure, criterion: dict, tolerance: float = 1e-6
+    model: Model, design: DesignMeasure, criterion: dict
 ) -> EquivalenceCertificate:
     """Recompute the equivalence audit appropriate to the stored criterion."""
-    kind = criterion["kind"]
-    if kind == "maximin":
-        grid = BetaGrid(
-            criterion["beta_min"],
-            criterion["beta_max"],
-            criterion.get("count", 400),
-            criterion.get("spacing", "log"),
-        )
-        betas = grid.values
-        cert, _, _ = _certify(model, design, betas, _local_offsets(model, betas))
-        return cert
-    ax = audit_grid(model.design_interval, design)
-    if kind == "local":
-        d = directional_derivative(design, model, float(criterion["beta"]), ax)
-    elif kind == "bayes":
-        p = criterion["prior"]
-        prior = ParameterPrior(p["kind"], tuple(p["params"]),
-                               p.get("quadrature_nodes", 200))
-        d = averaged_directional_derivative(design, model, prior, ax)
-    else:
-        raise ValueError(f"unknown criterion kind {kind!r}")
-    worst = int(np.argmax(d))
-    return EquivalenceCertificate(
-        max_directional_derivative=float(d[worst]),
-        bound=float(model.m),
-        tolerance=tolerance,
-        worst_point=float(ax[worst]),
-        passed=bool(d[worst] <= model.m * (1.0 + tolerance)),
-    )
+    return certify(model, design, _criterion(model, criterion))
 
 
 def verify_artifact(path: str) -> EquivalenceCertificate:
@@ -132,56 +114,33 @@ def write_xy(path: str, xs, ys) -> None:
     """Plain two-column text, one sample per line."""
     with open(path, "w") as fh:
         for x, y in zip(xs, ys):
-            fh.write(f"{x!r} {y!r}\n")
+            fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
 def write_plot_data(
-    prefix: str, model: Model, design: DesignMeasure, criterion: dict,
+    prefix: str, model: Model, design: DesignMeasure, criterion,
     count: int = 512,
 ) -> list:
     """Emit the derivative curve x -> d(x, xi) and, for parametrized
-    criteria, the efficiency curve beta -> eff(xi, beta).  Returns the
-    written paths."""
-    from .local import local_logdet
-    from .design import information_matrix, log_det
-
-    kind = criterion["kind"]
+    criteria, the efficiency curve beta -> eff(xi, beta).  The maximin
+    derivative is averaged over the certificate's least-favorable weights.
+    Returns the written paths."""
+    criterion = _criterion_dict(criterion)
+    crit = _criterion(model, criterion)
     lo, hi = model.design_interval
     xs = np.linspace(lo, hi, count)
-    paths = []
-    if kind == "local":
-        d = directional_derivative(design, model, float(criterion["beta"]), xs)
-        betas = None
-    elif kind == "bayes":
-        p = criterion["prior"]
-        prior = ParameterPrior(p["kind"], tuple(p["params"]),
-                               p.get("quadrature_nodes", 200))
-        d = averaged_directional_derivative(design, model, prior, xs)
-        b_lo, b_hi = prior.support_interval
-        betas = np.linspace(max(b_lo, 1e-6), b_hi, count)
-    else:
-        grid = BetaGrid(criterion["beta_min"], criterion["beta_max"],
-                        criterion.get("count", 400),
-                        criterion.get("spacing", "log"))
-        betas = grid.values
-        cert, _, _ = _certify(model, design, betas,
-                              _local_offsets(model, betas))
-        mu = cert.least_favorable_weights or {}
-        d = np.zeros_like(xs)
-        for b, q in mu.items():
-            d += q * directional_derivative(design, model, float(b), xs)
-    path = f"{prefix}.dirderiv.txt"
-    write_xy(path, xs, d)
-    paths.append(path)
-    if betas is not None:
-        eff = np.array([
-            math.exp(log_det(information_matrix(design, model, float(b)))
-                     - local_logdet(model, float(b)))
-            if np.isfinite(log_det(information_matrix(design, model, float(b))))
-            else 0.0
-            for b in betas
-        ])
-        path = f"{prefix}.efficiency.txt"
-        write_xy(path, betas, eff)
-        paths.append(path)
+    curve = crit
+    if crit.aggregate == "min":
+        mu = certify(model, design, crit).least_favorable_weights
+        curve = Criterion(np.array(list(mu)), np.array(list(mu.values())),
+                          np.zeros(len(mu)))
+    paths = [f"{prefix}.dirderiv.txt"]
+    write_xy(paths[0], xs, curve.derivative(model, design, xs))
+    if criterion["kind"] == "local":
+        return paths
+    if criterion["kind"] == "bayes":
+        b_lo, b_hi = _prior(criterion).support_interval
+        crit = Criterion.maximin(model, np.linspace(max(b_lo, 1e-6), b_hi, count))
+    paths.append(f"{prefix}.efficiency.txt")
+    write_xy(paths[1], crit.betas, np.exp(crit.log_efficiencies(model, design)))
     return paths

@@ -5,16 +5,19 @@ occasional vertex-exchange steps toward the maximizer of the directional
 derivative, followed by grid refinement around the surviving support.  The
 same engine drives the Bayesian and maximin solvers: it maximizes any
 weighted average of log-determinants over probability vectors on the grid.
+All three criteria are a :class:`Criterion` and share one equivalence
+audit, :func:`certify`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .design import (
     DesignMeasure,
@@ -24,6 +27,9 @@ from .design import (
     log_det,
 )
 from .models import Model
+
+ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
+_NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
 
 
 class InfeasibleGridError(RuntimeError):
@@ -376,15 +382,143 @@ def directional_derivative(
     design: DesignMeasure, model: Model, beta: float, x
 ) -> float | np.ndarray:
     """trace(M^{-1}(xi, beta) I(x, beta)) at one or many points."""
-    M = information_matrix(design, model, beta).entries
-    d = np.linalg.det(M) if model.m > 1 else M[0, 0]
-    if d <= 0.0 or not np.isfinite(d):
-        raise SingularInformationError("singular information matrix")
-    Minv = np.linalg.inv(M)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    F = model.score_matrix(xs, beta)
-    vals = np.einsum("nm,mp,np->n", F, Minv, F)
+    vals = Criterion.local(beta).derivative(model, design, x)
     return float(vals[0]) if np.ndim(x) == 0 else vals
+
+
+def _check_nodes(model: Model, design: DesignMeasure, betas) -> None:
+    for b in betas:
+        model.check_beta(float(b))
+    model.check_points(design.points)
+
+
+def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
+    """Yield (j, d), d[i, k] = f(x_k, b)^T M^{-1}(xi, b) f(x_k, b) for the
+    nodes b = betas[j + i], in blocks of _NODE_BLOCK nodes so that the score
+    stack at x stays at _NODE_BLOCK * len(x) * m entries.
+
+    Raises SingularInformationError if M is singular at any node.
+    """
+    _check_nodes(model, design, betas)
+    Ms = info_stack(stacked_scores(model, design.points_array(), betas),
+                    design.weights_array())
+    dets = np.linalg.det(Ms) if model.m > 1 else Ms[:, 0, 0]
+    if design.n < model.m or not np.all((dets > 0.0) & np.isfinite(dets)):
+        raise SingularInformationError("singular information matrix")
+    for j in range(0, len(betas), _NODE_BLOCK):
+        Fx = stacked_scores(model, x, betas[j:j + _NODE_BLOCK])
+        yield j, dirderiv_stack(Fx, Ms[j:j + _NODE_BLOCK])
+
+
+def local_offsets(model: Model, betas) -> np.ndarray:
+    """log det of the local optimum at each node: the standardizing offsets."""
+    return np.array([local_logdet(model, float(b)) for b in betas])
+
+
+@dataclass(frozen=True, eq=False)
+class Criterion:
+    """D-criterion over parameter nodes.
+
+    The log-efficiencies log det M(xi, beta_j) - offsets_j are aggregated as
+    their q-weighted mean (local: one node; Bayes: a quadrature rule) or
+    their minimum (standardized maximin over a parameter grid).
+    """
+
+    betas: np.ndarray
+    q: np.ndarray
+    offsets: np.ndarray
+    aggregate: str = "mean"  # "mean" | "min"
+
+    def __post_init__(self):
+        if self.aggregate not in ("mean", "min"):
+            raise ValueError(f"unknown aggregate {self.aggregate!r}")
+
+    @staticmethod
+    def local(beta: float) -> "Criterion":
+        return Criterion(np.array([float(beta)]), np.ones(1), np.zeros(1))
+
+    @staticmethod
+    def maximin(model: Model, betas) -> "Criterion":
+        """Worst standardized log-efficiency over the nodes."""
+        betas = np.asarray(betas, dtype=float)
+        return Criterion(betas, np.full(len(betas), 1.0 / len(betas)),
+                         local_offsets(model, betas), "min")
+
+    def log_efficiencies(self, model: Model, design: DesignMeasure) -> np.ndarray:
+        """log det M(xi, beta_j) - offsets_j; NEG_INF where M is singular."""
+        _check_nodes(model, design, self.betas)
+        if design.n < model.m:  # fewer points than parameters: singular
+            return np.full(len(self.betas), NEG_INF)
+        Fs = stacked_scores(model, design.points_array(), self.betas)
+        return logdet_stack(info_stack(Fs, design.weights_array())) - self.offsets
+
+    def derivative(self, model: Model, design: DesignMeasure, x) -> np.ndarray:
+        """Node-weighted directional derivative sum_j q_j d(x, xi, beta_j)."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        total = np.zeros(len(x))
+        for j, d in _node_derivatives(model, design, self.betas, x):
+            total += self.q[j:j + len(d)] @ d
+        return total
+
+
+def _least_favorable_lp(dmat: np.ndarray):
+    """Probability vector mu minimizing the max over x of mu^T dmat.
+
+    dmat has shape (n_active_beta, n_audit_x); this is a small matrix game
+    solved as a linear program.
+    """
+    A, n = dmat.shape
+    c = np.zeros(A + 1)
+    c[-1] = 1.0
+    A_ub = np.hstack([dmat.T, -np.ones((n, 1))])
+    b_ub = np.zeros(n)
+    A_eq = np.zeros((1, A + 1))
+    A_eq[0, :A] = 1.0
+    b_eq = np.array([1.0])
+    bounds = [(0.0, None)] * A + [(None, None)]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"least-favorable LP failed: {res.message}")
+    mu = np.clip(res.x[:A], 0.0, None)
+    return mu / mu.sum()
+
+
+def certify(model: Model, design: DesignMeasure,
+            criterion: Criterion) -> EquivalenceCertificate:
+    """Equivalence audit of the design on the dense audit grid.
+
+    mean (Chaloner & Larntz 1989): the q-weighted directional derivative
+    must stay below m.  min (Wong 1992): least-favorable weights mu on the
+    active set of near-worst nodes, then the mu-weighted derivative must
+    stay below m and sit at m on the support.
+    """
+    ax = audit_grid(model.design_interval, design)
+    mu = None
+    if criterion.aggregate == "mean":
+        d = criterion.derivative(model, design, ax)
+        tol, support_ok = 1e-6, True
+    else:
+        g = criterion.log_efficiencies(model, design)
+        active = np.flatnonzero(np.exp(g) <= math.exp(g.min()) * (1.0 + ACTIVE_TOL))
+        betas = criterion.betas[active]
+        dmat = np.concatenate(
+            [dj for _, dj in _node_derivatives(model, design, betas, ax)])
+        weights = _least_favorable_lp(dmat)
+        d = weights @ dmat
+        tol = ACTIVE_TOL
+        sup_idx = [int(np.argmin(np.abs(ax - p))) for p in design.points]
+        support_ok = all(abs(d[i] - model.m) <= 1e-4 * model.m for i in sup_idx)
+        mu = {float(b): float(w) for b, w in zip(betas, weights) if w > 1e-12}
+    worst = int(np.argmax(d))
+    return EquivalenceCertificate(
+        max_directional_derivative=float(d[worst]),
+        bound=float(model.m),
+        tolerance=tol,
+        worst_point=float(ax[worst]),
+        passed=bool(d[worst] <= model.m * (1.0 + tol)) and support_ok,
+        least_favorable_weights=mu,
+    )
 
 
 def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
@@ -415,17 +549,7 @@ def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
     if log_det(information_matrix(design, model, beta)) == NEG_INF:
         raise InfeasibleGridError("grid too coarse: optimal design is singular")
 
-    ax = audit_grid(model.design_interval, design)
-    d = directional_derivative(design, model, beta, ax)
-    worst = int(np.argmax(d))
-    tol = 1e-6
-    cert = EquivalenceCertificate(
-        max_directional_derivative=float(d[worst]),
-        bound=float(model.m),
-        tolerance=tol,
-        worst_point=float(ax[worst]),
-        passed=bool(d[worst] <= model.m * (1.0 + tol)),
-    )
+    cert = certify(model, design, Criterion.local(beta))
     return design, cert
 
 

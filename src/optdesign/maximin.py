@@ -11,28 +11,24 @@ worst audit point whenever certification fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
 from .design import DesignMeasure, default_merge
 from .local import (
-    EquivalenceCertificate,
+    Criterion,
     GridSpec,
-    audit_grid,
     build_grid,
-    dirderiv_stack,
+    certify,
     info_stack,
-    local_logdet,
     logdet_stack,
     maximize_weighted_logdet,
     stacked_scores,
     transfer_weights,
 )
 from .models import Model
-
-ACTIVE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -59,25 +55,10 @@ class BetaGrid:
         return np.linspace(self.beta_min, self.beta_max, self.count)
 
 
-def _local_offsets(model: Model, betas) -> np.ndarray:
-    return np.array([local_logdet(model, float(b)) for b in betas])
-
-
-def _log_efficiencies(design: DesignMeasure, model: Model, betas, offsets=None):
-    from .design import information_matrix, log_det
-
-    if offsets is None:
-        offsets = _local_offsets(model, betas)
-    g = np.empty(len(betas))
-    for j, b in enumerate(betas):
-        g[j] = log_det(information_matrix(design, model, float(b))) - offsets[j]
-    return g
-
-
 def maximin_criterion(design: DesignMeasure, model: Model, grid: BetaGrid):
     """(worst efficiency, minimizing beta) over the parameter grid."""
     betas = grid.values
-    g = _log_efficiencies(design, model, betas)
+    g = Criterion.maximin(model, betas).log_efficiencies(model, design)
     j = int(np.argmin(g))
     if g[j] == -math.inf:
         return 0.0, float(betas[j])
@@ -150,61 +131,6 @@ def _polish_minimax(model: Model, betas, offsets, points, weights):
     return np.asarray(pts), wts
 
 
-def _least_favorable_lp(dmat: np.ndarray):
-    """Probability vector mu minimizing the max over x of mu^T dmat.
-
-    dmat has shape (n_active_beta, n_audit_x); this is a small matrix game
-    solved as a linear program.
-    """
-    A, n = dmat.shape
-    c = np.zeros(A + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([dmat.T, -np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    A_eq = np.zeros((1, A + 1))
-    A_eq[0, :A] = 1.0
-    b_eq = np.array([1.0])
-    bounds = [(0.0, None)] * A + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"least-favorable LP failed: {res.message}")
-    mu = np.clip(res.x[:A], 0.0, None)
-    return mu / mu.sum(), float(res.x[-1])
-
-
-def _certify(model: Model, design: DesignMeasure, betas, offsets,
-             tol: float = ACTIVE_TOL):
-    """Wong-style audit: least-favorable weights on the active set, then the
-    averaged directional derivative must stay below m everywhere."""
-    from .local import directional_derivative
-
-    g = _log_efficiencies(design, model, betas, offsets)
-    gmin = g.min()
-    active = np.flatnonzero(np.exp(g) <= math.exp(gmin) * (1.0 + ACTIVE_TOL))
-    ax = audit_grid(model.design_interval, design)
-    dmat = np.stack(
-        [directional_derivative(design, model, float(betas[j]), ax) for j in active]
-    )
-    mu, _ = _least_favorable_lp(dmat)
-    avg = mu @ dmat
-    worst = int(np.argmax(avg))
-    passed = bool(avg[worst] <= model.m * (1.0 + tol))
-    # at support points the averaged derivative must sit at the bound
-    sup_idx = [int(np.argmin(np.abs(ax - p))) for p in design.points]
-    support_ok = all(abs(avg[i] - model.m) <= 1e-4 * model.m for i in sup_idx)
-    cert = EquivalenceCertificate(
-        max_directional_derivative=float(avg[worst]),
-        bound=float(model.m),
-        tolerance=tol,
-        worst_point=float(ax[worst]),
-        passed=passed and support_ok,
-        least_favorable_weights={float(betas[j]): float(w)
-                                 for j, w in zip(active, mu) if w > 1e-12},
-    )
-    return cert, float(ax[worst]), passed
-
-
 def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Exact grid solution for scalar-information models.
 
@@ -243,7 +169,8 @@ def solve_maximin(
         from .local import solve_local
 
         return solve_local(model, float(betas[0]), xgrid)
-    offsets = _local_offsets(model, betas)
+    crit = Criterion.maximin(model, betas)
+    offsets = crit.offsets
     x = build_grid(model.design_interval, xgrid,
                    extra_points=list(model.fixed_support))
     Fs = stacked_scores(model, x, betas)
@@ -284,10 +211,11 @@ def solve_maximin(
     for _ in range(6):
         pts, wts = _polish_minimax(model, betas, offsets, pts, wts)
         design = default_merge(DesignMeasure.from_arrays(pts, wts), model)
-        cert, worst_x, passed = _certify(model, design, betas, offsets)
+        cert = certify(model, design, crit)
         if cert.passed:
             break
         # insert the violating point and re-polish
+        worst_x = cert.worst_point
         if min(abs(worst_x - p) for p in design.points) < 1e-6:
             break  # violation at an existing point: no structural fix left
         pts = np.append(design.points_array(), worst_x)

@@ -183,7 +183,8 @@ def q_efficiency(
 
     Local designs come from the model's analytic oracle or from
     ``local_solver``.  A singular numerator yields 0; a singular denominator
-    is a hard error (the local design must be nonsingular).
+    is a hard error (the local design must be nonsingular), and so is a
+    non-finite determinant on either side (ArithmeticError from det_info).
     """
     model.check_beta(beta)
     model.check_beta(beta_tilde)

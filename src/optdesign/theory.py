@@ -189,7 +189,7 @@ def check_condition_2_9(
         margin = im - bound
         violations += int(np.count_nonzero(
             ~(margin <= 1e-12 * np.maximum(im, 1e-300))))
-        worst = max(worst, float(margin.max()))
+        worst = float(np.max((worst, margin.max())))  # a NaN margin stays NaN
 
         # measured minimal c0 against the determinant-sum form
         dets = np.zeros_like(im)

@@ -8,14 +8,32 @@ import warnings
 import numpy as np
 import pytest
 
-from optdesign import DesignMeasure
+from optdesign import (
+    EXP1,
+    EXP2,
+    BetaGrid,
+    DesignMeasure,
+    ParameterPrior,
+    solve_bayes,
+    solve_local,
+    solve_maximin,
+)
 from optdesign.cli import main
 from optdesign.io import (
     design_from_json,
     design_to_json,
     read_artifact,
     verify_artifact,
+    write_artifact,
 )
+
+
+def _curve(path):
+    rows = [line.split() for line in path.read_text().strip().splitlines()]
+    assert rows and all(len(row) == 2 for row in rows)
+    curve = np.array(rows, dtype=float)
+    assert np.all(np.isfinite(curve))
+    return curve
 
 
 class TestParsing:
@@ -60,9 +78,51 @@ class TestLocalCommand:
         assert rc == 0
         files = sorted(p.name for p in tmp_path.iterdir())
         assert any("dirderiv" in f for f in files)
-        # two numeric columns per line
-        body = (tmp_path / files[0]).read_text().strip().splitlines()
-        assert all(len(line.split()) == 2 for line in body)
+        _curve(tmp_path / files[0])  # two numeric columns per line
+
+
+class TestPlotData:
+    @pytest.mark.parametrize("argv, m", [
+        (["bayes", "--model", "exp1", "--prior", "uniform:1:10"], 1),
+        (["maximin", "--model", "exp2", "--beta-range", "1:4",
+          "--beta-grid", "20"], 2),
+    ])
+    def test_curves_respect_the_certificate(self, tmp_path, argv, m):
+        out = tmp_path / "d.json"
+        prefix = str(tmp_path / "curves")
+        assert main(argv + ["--out", str(out), "--plot-data", prefix]) == 0
+        tol = json.loads(out.read_text())["certificate"]["tolerance"]
+        deriv = _curve(tmp_path / "curves.dirderiv.txt")
+        eff = _curve(tmp_path / "curves.efficiency.txt")
+        assert deriv[:, 1].max() <= m * (1.0 + tol)
+        assert eff[:, 1].max() <= 1.0 + 1e-9
+
+
+ROUND_TRIP_CASES = {
+    "local": (EXP2, 3.0, solve_local),
+    "bayes": (EXP2, ParameterPrior.discrete_uniform(3), solve_bayes),
+    "maximin": (EXP1, BetaGrid(1.0, 10.0), solve_maximin),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_CASES))
+def test_verify_reproduces_solver_certificate(tmp_path, case):
+    model, criterion, solve = ROUND_TRIP_CASES[case]
+    design, cert = solve(model, criterion)
+    path = str(tmp_path / "a.json")
+    write_artifact(path, model, criterion, design, cert)
+    again = verify_artifact(path)
+    assert again.passed == cert.passed
+    assert again.max_directional_derivative == pytest.approx(
+        cert.max_directional_derivative, rel=0.0, abs=1e-12)
+    assert again.worst_point == pytest.approx(cert.worst_point, rel=0.0, abs=1e-12)
+    mu, mu_again = cert.least_favorable_weights, again.least_favorable_weights
+    if case == "maximin":
+        assert mu and mu_again.keys() == mu.keys()
+        for b, w in mu.items():
+            assert mu_again[b] == pytest.approx(w, rel=0.0, abs=1e-12)
+    else:
+        assert mu is None and mu_again is None
 
 
 class TestVerifyCommand:

@@ -177,6 +177,22 @@ class TestQEfficiency:
         q = q_efficiency(EXP3, 2.0, 3.0, lambda m, b: local_design(m, b))
         assert 0.0 < q < 1.0
 
+    def test_nan_determinant_raises(self):
+        # an EXP1-like score that is NaN at the local design's only point:
+        # the NaN determinant must not slip past the "<= 0" guards
+        def score(x, beta):
+            return np.where(x == 0.5, np.nan, x * np.exp(-beta * x))[..., None]
+
+        model = Model(name="nan-at-half", m=1, m_eta=0,
+                      design_interval=(0.0, 1.0), beta_range=(1e-12, math.inf),
+                      score=score,
+                      analytic_local=lambda b: DesignMeasure.point_mass(0.5))
+        with pytest.raises(ArithmeticError):
+            det_info(DesignMeasure.point_mass(0.5), model, 2.0)
+        for b, bt in ((2.0, 3.0), (3.0, 2.0)):
+            with pytest.raises(ArithmeticError):
+                q_efficiency(model, b, bt)
+
     def test_decay_envelope_on_log_grid(self):
         # Q <= e^2 e^(-2 |log b - log bt|) over a wide log grid
         bs = np.geomspace(1.0, 1e3, 100)

@@ -127,6 +127,7 @@ class TestGramDominance:
         monkeypatch.setattr(theory, "gram_determinant", nan_at_tuple)
         rep = check_condition_2_9(EXP2, [(0.25, 0.5)], betas)
         assert rep.violations == len(betas) and not rep.passed
+        assert math.isnan(rep.worst_margin)
 
     def test_three_parameter_model(self):
         rng = np.random.default_rng(4)
