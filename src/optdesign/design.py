@@ -115,25 +115,30 @@ class InfoMatrix:
         object.__setattr__(self, "m", a.shape[0])
 
 
-def _det_closed(a: np.ndarray) -> float:
-    """Determinant of an m x m matrix, m <= 3, by cofactor expansion.
+def _det_closed(a: np.ndarray):
+    """Determinant of an m x m matrix, m <= 3, by cofactor expansion; for a
+    (J, m, m) stack, the array of the J determinants.
 
     Evaluated in extended precision: the 3 x 3 cofactor sum cancels badly
     for near-singular information matrices.
     """
     a = np.asarray(a, dtype=np.longdouble)
+    # matrix axes first, so that a[i, j] is one entry of every matrix
+    a = a.transpose(-2, -1, *range(a.ndim - 2))
     m = a.shape[0]
     if m == 1:
-        return float(a[0, 0])
-    if m == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if m == 3:
-        return float(
+        d = a[0, 0]
+    elif m == 2:
+        d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    elif m == 3:
+        d = (
             a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
             - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
             + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
         )
-    raise ValueError(f"closed-form determinant limited to m <= 3, got m={m}")
+    else:
+        raise ValueError(f"closed-form determinant limited to m <= 3, got m={m}")
+    return float(d) if np.ndim(d) == 0 else d.astype(float)
 
 
 def information_matrix(design: DesignMeasure, model, beta: float) -> InfoMatrix:

@@ -22,9 +22,8 @@ from scipy.optimize import linprog
 from .design import (
     DesignMeasure,
     NEG_INF,
+    _det_closed,
     default_merge,
-    information_matrix,
-    log_det,
 )
 from .models import Model
 
@@ -98,8 +97,9 @@ def build_grid(interval, spec: GridSpec, extra_points=()) -> np.ndarray:
 def stacked_scores(model: Model, x: np.ndarray, betas) -> np.ndarray:
     """Score matrices at all grid points for each beta, shape (J, n, m).
 
-    One broadcast call of ``model.score``; see :class:`Model` for the
-    contract (``x`` broadcasts against ``beta``, parameter axis last).
+    One broadcast call of ``model.score`` through ``model.score_matrix``;
+    see :class:`Model` for the contract (``x`` broadcasts against ``beta``,
+    parameter axis last).
     """
     x = np.asarray(x, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -110,7 +110,7 @@ def stacked_scores(model: Model, x: np.ndarray, betas) -> np.ndarray:
         f"({len(betas)}, 1) should give {want}"
     )
     try:
-        Fs = np.asarray(model.score(x[None, :], betas[:, None]))
+        Fs = np.asarray(model.score_matrix(x, betas))
     except (ValueError, TypeError, IndexError) as exc:
         raise ValueError(f"{contract}; the call raised {exc!r}") from exc
     if Fs.shape != want:
@@ -397,9 +397,9 @@ def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
     nodes b = betas[j + i], in blocks of _NODE_BLOCK nodes so that the score
     stack at x stays at _NODE_BLOCK * len(x) * m entries.
 
-    Raises SingularInformationError if M is singular at any node.
+    Raises SingularInformationError if M is singular at any node.  The
+    caller checks the nodes and the design points.
     """
-    _check_nodes(model, design, betas)
     Ms = info_stack(stacked_scores(model, design.points_array(), betas),
                     design.weights_array())
     dets = np.linalg.det(Ms) if model.m > 1 else Ms[:, 0, 0]
@@ -421,17 +421,15 @@ class Criterion:
 
     The log-efficiencies log det M(xi, beta_j) - offsets_j are aggregated as
     their q-weighted mean (local: one node; Bayes: a quadrature rule) or
-    their minimum (standardized maximin over a parameter grid).
+    their minimum (standardized maximin over a parameter grid).  A "min"
+    criterion has no node weights (q is None): :func:`certify` solves for
+    the least-favorable ones.
     """
 
     betas: np.ndarray
-    q: np.ndarray
+    q: Optional[np.ndarray]
     offsets: np.ndarray
     aggregate: str = "mean"  # "mean" | "min"
-
-    def __post_init__(self):
-        if self.aggregate not in ("mean", "min"):
-            raise ValueError(f"unknown aggregate {self.aggregate!r}")
 
     @staticmethod
     def local(beta: float) -> "Criterion":
@@ -441,20 +439,25 @@ class Criterion:
     def maximin(model: Model, betas) -> "Criterion":
         """Worst standardized log-efficiency over the nodes."""
         betas = np.asarray(betas, dtype=float)
-        return Criterion(betas, np.full(len(betas), 1.0 / len(betas)),
-                         local_offsets(model, betas), "min")
+        return Criterion(betas, None, local_offsets(model, betas), "min")
 
     def log_efficiencies(self, model: Model, design: DesignMeasure) -> np.ndarray:
-        """log det M(xi, beta_j) - offsets_j; NEG_INF where M is singular."""
+        """log det M(xi, beta_j) - offsets_j; NEG_INF where M is singular.
+        Closed-form determinants, as in local_logdet, which calls this."""
         _check_nodes(model, design, self.betas)
         if design.n < model.m:  # fewer points than parameters: singular
             return np.full(len(self.betas), NEG_INF)
         Fs = stacked_scores(model, design.points_array(), self.betas)
-        return logdet_stack(info_stack(Fs, design.weights_array())) - self.offsets
+        Ms = info_stack(Fs, design.weights_array())
+        d = _det_closed(0.5 * (Ms + Ms.transpose(0, 2, 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ld = np.where(d > 0.0, np.log(d), NEG_INF)
+        return ld - self.offsets
 
     def derivative(self, model: Model, design: DesignMeasure, x) -> np.ndarray:
         """Node-weighted directional derivative sum_j q_j d(x, xi, beta_j)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        _check_nodes(model, design, self.betas)
         total = np.zeros(len(x))
         for j, d in _node_derivatives(model, design, self.betas, x):
             total += self.q[j:j + len(d)] @ d
@@ -462,10 +465,11 @@ class Criterion:
 
 
 def _least_favorable_lp(dmat: np.ndarray):
-    """Probability vector mu minimizing the max over x of mu^T dmat.
+    """Probability vector mu over the rows of dmat minimizing the largest
+    entry of mu^T dmat: a matrix game solved as a linear program.
 
-    dmat has shape (n_active_beta, n_audit_x); this is a small matrix game
-    solved as a linear program.
+    In the Wong audit the rows are the active betas and the columns the
+    audit points; the scalar maximin grid solve also uses it.
     """
     A, n = dmat.shape
     c = np.zeros(A + 1)
@@ -479,7 +483,7 @@ def _least_favorable_lp(dmat: np.ndarray):
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     if not res.success:
-        raise RuntimeError(f"least-favorable LP failed: {res.message}")
+        raise RuntimeError(f"matrix game LP failed: {res.message}")
     mu = np.clip(res.x[:A], 0.0, None)
     return mu / mu.sum()
 
@@ -546,10 +550,11 @@ def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
 
     raw = DesignMeasure.from_arrays(x[w > 0], w[w > 0])
     design = default_merge(raw, model)
-    if log_det(information_matrix(design, model, beta)) == NEG_INF:
+    crit = Criterion.local(beta)
+    if crit.log_efficiencies(model, design)[0] == NEG_INF:
         raise InfeasibleGridError("grid too coarse: optimal design is singular")
 
-    cert = certify(model, design, Criterion.local(beta))
+    cert = certify(model, design, crit)
     return design, cert
 
 
@@ -599,4 +604,5 @@ def local_design(model: Model, beta: float) -> DesignMeasure:
 @functools.lru_cache(maxsize=None)
 def local_logdet(model: Model, beta: float) -> float:
     """log det M(xi[beta], beta), cached; denominator of every efficiency."""
-    return log_det(information_matrix(local_design(model, beta), model, beta))
+    crit = Criterion.local(beta)
+    return float(crit.log_efficiencies(model, local_design(model, beta))[0])

@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from .design import DesignMeasure, default_merge
 from .local import (
     Criterion,
     GridSpec,
+    _least_favorable_lp,
     build_grid,
     certify,
     info_stack,
@@ -135,24 +136,11 @@ def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Exact grid solution for scalar-information models.
 
     With m = 1 the information at each parameter is linear in the design
-    weights, so maximizing the worst efficiency is a linear program:
-    max t subject to sum_i w_i a_ij >= t for every parameter j.
+    weights, so maximizing the worst efficiency min_j sum_i w_i a_ij is the
+    matrix game that _least_favorable_lp solves, with the signs flipped.
     """
     a = Fs[:, :, 0] ** 2 * np.exp(-offsets)[:, None]  # (J, n) efficiencies
-    J, n = a.shape
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-a, np.ones((J, 1))])
-    b_ub = np.zeros(J)
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, :n] = 1.0
-    bounds = [(0.0, None)] * n + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"grid maximin LP failed: {res.message}")
-    w = np.clip(res.x[:n], 0.0, None)
-    return w / w.sum()
+    return _least_favorable_lp(-a.T)
 
 
 def solve_maximin(

@@ -30,9 +30,8 @@ class Model:
     ``score(x, beta)`` returns the Fisher score vectors with shape
     ``np.broadcast_shapes(np.shape(x), np.shape(beta)) + (m,)``: ``x``
     broadcasts against ``beta`` and the parameter axis is last.  The solvers
-    call it once with ``x[None, :]`` and ``betas[:, None]`` to get all score
-    matrices as a ``(J, n, m)`` stack.  :meth:`score_matrix` calls it with a
-    scalar ``beta`` only.
+    call it through :meth:`score_matrix`, once per array of parameter
+    values, to get all score matrices as a ``(J, n, m)`` stack.
     """
 
     name: str
@@ -69,9 +68,14 @@ class Model:
             if not lo - 1e-12 <= x <= hi + 1e-12:
                 raise ValueError(f"design point {x} outside interval [{lo}, {hi}]")
 
-    def score_matrix(self, x: np.ndarray, beta: float) -> np.ndarray:
-        """Scores at many points, stacked as an (n, m) array."""
-        F = np.atleast_2d(self.score(np.asarray(x, dtype=float), beta))
+    def score_matrix(self, x: np.ndarray, beta) -> np.ndarray:
+        """Scores at many points: an (n, m) array for a scalar ``beta``; for
+        a 1-D array of J values, one broadcast call giving the (J, n, m)
+        stack."""
+        x = np.asarray(x, dtype=float)
+        if np.ndim(beta) == 1:
+            return self.score(x[None, :], np.asarray(beta)[:, None])
+        F = np.atleast_2d(self.score(x, beta))
         if F.shape[0] == self.m and F.shape[1] != self.m:
             F = F.T
         return F

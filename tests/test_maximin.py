@@ -8,6 +8,7 @@ import pytest
 from optdesign import (
     EXP1,
     EXP2,
+    EXP3,
     BetaGrid,
     DesignMeasure,
     maximin_criterion,
@@ -16,6 +17,7 @@ from optdesign import (
     solve_maximin,
     support_count,
 )
+from optdesign.local import Criterion, local_design
 from optdesign.models import q_exp1_closed
 
 
@@ -43,6 +45,15 @@ class TestMaximinCriterion:
         phi, beta_star = maximin_criterion(d, EXP1, BetaGrid(2.0, 2.0))
         np.testing.assert_allclose(phi, 1.0, rtol=1e-10)
         assert beta_star == 2.0
+
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3], ids=lambda m: m.name)
+    def test_local_design_efficiency_is_exactly_one_on_a_grid(self, model):
+        # numerator and standardizing offset share one determinant kernel
+        betas = BetaGrid(1.0, 50.0, 12).values
+        crit = Criterion.maximin(model, betas)
+        for j, b in enumerate(betas):
+            g = crit.log_efficiencies(model, local_design(model, float(b)))
+            assert g[j] == 0.0
 
     def test_point_design_worst_case_is_an_endpoint(self):
         # efficiency of a point design decays monotonically in the
