@@ -159,12 +159,7 @@ def _cmd_theory(args) -> int:
             samples = np.geomspace(lo, hi, args.samples)
         else:
             samples = np.linspace(lo, hi, args.samples)
-        from .local import local_design
-
-        solver = None if model.analytic_local else (
-            lambda m, b: local_design(m, b)
-        )
-        report = check_uniform_decrease(model, scale, envelope, samples, solver)
+        report = check_uniform_decrease(model, scale, envelope, samples)
     elif args.check == "cond29":
         m = model.m
         axis = np.linspace(0.02, 1.0, args.samples)

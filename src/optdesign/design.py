@@ -141,6 +141,41 @@ def _det_closed(a: np.ndarray):
     return float(d) if np.ndim(d) == 0 else d.astype(float)
 
 
+def stacked_scores(model, x: np.ndarray, betas) -> np.ndarray:
+    """Score matrices at all points x for each beta, shape (J, n, m).
+
+    One broadcast call of ``model.score`` through ``model.score_matrix``;
+    see :class:`Model` for the contract (``x`` broadcasts against ``beta``,
+    parameter axis last).
+    """
+    x = np.asarray(x, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    want = (len(betas), len(x), model.m)
+    contract = (
+        f"score of model {model.name!r} must broadcast x against beta and put "
+        f"the parameter axis last: x of shape (1, {len(x)}) and beta of shape "
+        f"({len(betas)}, 1) should give {want}"
+    )
+    try:
+        Fs = np.asarray(model.score_matrix(x, betas))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ValueError(f"{contract}; the call raised {exc!r}") from exc
+    if Fs.shape != want:
+        raise ValueError(f"{contract}, got {Fs.shape}")
+    return Fs
+
+
+def _score_stack(model, x: np.ndarray, beta) -> np.ndarray:
+    """Checked scores at x as a (J, n, m) stack: one matrix for a scalar
+    beta, one per entry of a 1-D array of beta."""
+    if np.ndim(beta) == 0:
+        model.check_beta(beta)
+        return model.score_matrix(x, beta)[None]
+    for b in beta:
+        model.check_beta(float(b))
+    return stacked_scores(model, x, beta)
+
+
 def information_matrix(design: DesignMeasure, model, beta: float) -> InfoMatrix:
     """M(xi, beta) = sum_k w_k f(x_k, beta) f(x_k, beta)^T."""
     model.check_beta(beta)
@@ -151,27 +186,31 @@ def information_matrix(design: DesignMeasure, model, beta: float) -> InfoMatrix:
     return InfoMatrix(0.5 * (a + a.T))
 
 
-def det_info(design: DesignMeasure, model, beta: float) -> float:
-    """Determinant of the information matrix via the closed form.
+def det_info(design: DesignMeasure, model, beta):
+    """Determinant of the information matrix via the closed form; for a 1-D
+    array of beta, the array of determinants from one stacked score call.
 
-    A design on fewer than m points is structurally singular, so that case
-    returns 0 exactly instead of cancellation noise.  A non-finite
-    determinant (a NaN or infinite score) raises ArithmeticError.
+    This is the package's one determinant of M: the criteria, the
+    efficiencies and the theory checks all evaluate it here.  A design on
+    fewer than m points is structurally singular, so that case returns 0
+    exactly instead of cancellation noise.  A non-finite determinant (a NaN
+    or infinite score) raises ArithmeticError.
     """
-    model.check_beta(beta)
     model.check_points(design.points)
+    F = _score_stack(model, design.points_array(), beta)
     if design.n < model.m:
-        return 0.0
-    # accumulate in extended precision: rounding the matrix entries to
-    # double already destroys the near-cancelling determinant
-    F = np.asarray(
-        model.score_matrix(design.points_array(), beta), dtype=np.longdouble
-    )
-    w = design.weights_array().astype(np.longdouble)
-    d = _det_closed(F.T @ (F * w[:, None]))
-    if not math.isfinite(d):
-        raise ArithmeticError(f"non-finite information determinant at beta={beta}")
-    return d
+        d = np.zeros(len(F))
+    else:
+        # accumulate in extended precision: rounding the matrix entries to
+        # double already destroys the near-cancelling determinant
+        F = F.astype(np.longdouble)
+        w = design.weights_array().astype(np.longdouble)
+        d = _det_closed(np.matmul(F.transpose(0, 2, 1), F * w[:, None]))
+    bad = ~np.isfinite(d)
+    if bad.any():
+        at = np.atleast_1d(beta)[bad][0]
+        raise ArithmeticError(f"non-finite information determinant at beta={at}")
+    return float(d[0]) if np.ndim(beta) == 0 else d
 
 
 def log_det(matrix: InfoMatrix) -> float:
@@ -182,15 +221,16 @@ def log_det(matrix: InfoMatrix) -> float:
     return math.log(d)
 
 
-def gram_determinant(points, model, beta: float) -> float:
-    """Squared determinant of the m score vectors at the m given points."""
+def gram_determinant(points, model, beta):
+    """Squared determinant of the m score vectors at the m given points; for
+    a 1-D array of beta, the array of them, as in :func:`det_info`."""
     m = model.m
     if len(points) != m:
         raise ValueError(f"gram_determinant needs exactly {m} points, got {len(points)}")
-    model.check_beta(beta)
-    F = model.score_matrix(np.asarray(points, dtype=float), beta)  # (m, m)
-    d = _det_closed(F.T)
-    return d * d
+    F = _score_stack(model, np.asarray(points, dtype=float), beta)  # (J, m, m)
+    d = _det_closed(F.transpose(0, 2, 1))
+    d = d * d
+    return float(d[0]) if np.ndim(beta) == 0 else d
 
 
 def det_via_cauchy_binet(design: DesignMeasure, model, beta: float) -> float:

@@ -22,13 +22,17 @@ from scipy.optimize import linprog
 from .design import (
     DesignMeasure,
     NEG_INF,
-    _det_closed,
     default_merge,
+    det_info,
+    stacked_scores,
 )
 from .models import Model
 
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
+_VERTEX_EVERY = 5  # engine phase 1: every 5th step is a vertex exchange
+_SUPPORT_EPS = 1e-10  # engine phase 2: support = weights above eps * max
+_NEWTON_ITERS = 60  # Newton steps of the weight solve on a fixed support
 
 
 class InfeasibleGridError(RuntimeError):
@@ -94,30 +98,6 @@ def build_grid(interval, spec: GridSpec, extra_points=()) -> np.ndarray:
     return np.unique(x)
 
 
-def stacked_scores(model: Model, x: np.ndarray, betas) -> np.ndarray:
-    """Score matrices at all grid points for each beta, shape (J, n, m).
-
-    One broadcast call of ``model.score`` through ``model.score_matrix``;
-    see :class:`Model` for the contract (``x`` broadcasts against ``beta``,
-    parameter axis last).
-    """
-    x = np.asarray(x, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    want = (len(betas), len(x), model.m)
-    contract = (
-        f"score of model {model.name!r} must broadcast x against beta and put "
-        f"the parameter axis last: x of shape (1, {len(x)}) and beta of shape "
-        f"({len(betas)}, 1) should give {want}"
-    )
-    try:
-        Fs = np.asarray(model.score_matrix(x, betas))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ValueError(f"{contract}; the call raised {exc!r}") from exc
-    if Fs.shape != want:
-        raise ValueError(f"{contract}, got {Fs.shape}")
-    return Fs
-
-
 def info_stack(Fs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(Fs.transpose(0, 2, 1), Fs * w[None, :, None])
 
@@ -134,8 +114,15 @@ def dirderiv_stack(Fs: np.ndarray, Ms: np.ndarray) -> np.ndarray:
     return (np.matmul(Fs, Minv) * Fs).sum(axis=2)
 
 
-def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int,
-                    max_iter: int = 60):
+def _weighted_logdet(Fs: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
+    """sum_j q_j log det M_j(w); NEG_INF if any M_j is singular."""
+    ld = logdet_stack(info_stack(Fs, w))
+    if not np.all(np.isfinite(ld)):
+        return NEG_INF
+    return float(q @ ld)
+
+
+def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
     """Exact weight optimization on a fixed (small) support.
 
     Equality-constrained Newton on sum_j q_j log det M_j(w), Sum w = 1,
@@ -146,14 +133,8 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int,
     w = np.clip(w, 1e-14, None)
     w /= w.sum()
 
-    def crit(wv):
-        ld = logdet_stack(info_stack(Fs_S, wv))
-        if not np.all(np.isfinite(ld)):
-            return NEG_INF
-        return float(q @ ld)
-
-    c = crit(w)
-    for _ in range(max_iter):
+    c = _weighted_logdet(Fs_S, q, w)
+    for _ in range(_NEWTON_ITERS):
         Ms = info_stack(Fs_S, w)
         Minv = np.linalg.inv(Ms)
         B = np.matmul(np.matmul(Fs_S, Minv), Fs_S.transpose(0, 2, 1))
@@ -178,7 +159,7 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int,
         for _ in range(40):
             wc = w + step * delta
             if wc.min() > 0.0:
-                cc = crit(wc)
+                cc = _weighted_logdet(Fs_S, q, wc)
                 if cc >= c:
                     w, c = wc / wc.sum(), cc
                     improved = True
@@ -195,30 +176,22 @@ def maximize_weighted_logdet(
     w0: np.ndarray,
     m: int,
     tol: float = 1e-9,
-    max_iter: int = 100_000,
-    vertex_every: int = 5,
-    support_eps: float = 1e-10,
+    max_iter: int = 2000,
 ):
     """Maximize sum_j q_j log det M_j(w) over the probability simplex.
 
     Multiplicative updates and vertex-exchange steps locate the support;
     exact Newton solves on the support finish to the equivalence tolerance.
-    Returns (w, max_dirderiv, criterion_history); the criterion history is
-    nondecreasing.
+    The first phase takes at most max_iter steps.  Returns (w, max_dirderiv,
+    criterion_history); the criterion history is nondecreasing.
     """
     n = Fs.shape[1]
     w = np.array(w0, dtype=float)
     w = np.clip(w, 0.0, None)
     w /= w.sum()
 
-    def crit(wv):
-        ld = logdet_stack(info_stack(Fs, wv))
-        if not np.all(np.isfinite(ld)):
-            return NEG_INF
-        return float(q @ ld)
-
     history = []
-    c = crit(w)
+    c = _weighted_logdet(Fs, q, w)
     if c == NEG_INF:
         raise InfeasibleGridError("initial weights give a singular matrix")
     history.append(c)
@@ -226,14 +199,14 @@ def maximize_weighted_logdet(
     # phase 1: multiplicative + vertex exchange until roughly converged
     maxd = math.inf
     rough_tol = max(tol, 1e-4)
-    for it in range(min(max_iter, 2000)):
+    for it in range(max_iter):
         Ms = info_stack(Fs, w)
         d = dirderiv_stack(Fs, Ms)
         D = q @ d  # (n,)
         maxd = float(D.max())
         if maxd <= m * (1.0 + rough_tol):
             break
-        if vertex_every and (it + 1) % vertex_every == 0 and maxd > m:
+        if (it + 1) % _VERTEX_EVERY == 0 and maxd > m:
             # Fedorov-style step toward the best point, with backtracking
             k = int(np.argmax(D))  # ties: lowest x wins (grid is sorted)
             alpha = (maxd / m - 1.0) / (maxd - 1.0) if maxd > 1.0 else 0.5
@@ -242,7 +215,7 @@ def maximize_weighted_logdet(
             for _ in range(20):
                 wc = (1.0 - alpha) * w
                 wc[k] += alpha
-                cc = crit(wc)
+                cc = _weighted_logdet(Fs, q, wc)
                 if cc >= c:
                     w, c = wc, cc
                     accepted = True
@@ -256,7 +229,7 @@ def maximize_weighted_logdet(
         if not np.isfinite(s) or s <= 0:
             raise InfeasibleGridError("weight update collapsed")
         w /= s
-        c = crit(w)
+        c = _weighted_logdet(Fs, q, w)
         history.append(c)
 
     # phase 2: cluster collapse + restricted Newton + exchange
@@ -268,7 +241,7 @@ def maximize_weighted_logdet(
             break
 
         # collapse each run of adjacent support indices onto its best point
-        sup = np.flatnonzero(w > support_eps * w.max())
+        sup = np.flatnonzero(w > _SUPPORT_EPS * w.max())
         reps, repw = [], []
         run = [sup[0]]
         for i in sup[1:]:
@@ -308,7 +281,7 @@ def maximize_weighted_logdet(
             for _ in range(30):
                 wc = (1.0 - alpha) * w
                 wc[k] += alpha
-                cc = crit(wc)
+                cc = _weighted_logdet(Fs, q, wc)
                 if cc >= c:
                     w, c = wc, cc
                     history.append(c)
@@ -443,13 +416,10 @@ class Criterion:
 
     def log_efficiencies(self, model: Model, design: DesignMeasure) -> np.ndarray:
         """log det M(xi, beta_j) - offsets_j; NEG_INF where M is singular.
-        Closed-form determinants, as in local_logdet, which calls this."""
-        _check_nodes(model, design, self.betas)
-        if design.n < model.m:  # fewer points than parameters: singular
-            return np.full(len(self.betas), NEG_INF)
-        Fs = stacked_scores(model, design.points_array(), self.betas)
-        Ms = info_stack(Fs, design.weights_array())
-        d = _det_closed(0.5 * (Ms + Ms.transpose(0, 2, 1)))
+        The determinants come from det_info, and local_logdet calls this,
+        so numerators and offsets share one kernel; a non-finite
+        determinant raises ArithmeticError."""
+        d = det_info(design, model, self.betas)
         with np.errstate(divide="ignore", invalid="ignore"):
             ld = np.where(d > 0.0, np.log(d), NEG_INF)
         return ld - self.offsets

@@ -175,7 +175,7 @@ def solve_maximin(
         prev_phi = -math.inf
         for t in range(1, outer_iters + 1):
             w, _, _ = maximize_weighted_logdet(
-                Fs, mu, w, model.m, tol=1e-6, max_iter=200, vertex_every=5
+                Fs, mu, w, model.m, tol=1e-6, max_iter=200
             )
             g = logdet_stack(info_stack(Fs, w)) - offsets
             phi = float(np.exp(g.min()))

@@ -19,9 +19,9 @@ import numpy as np
 
 from .bayes import ParameterPrior, bayes_criterion, solve_bayes
 from .design import DesignMeasure, canonical_merge, det_info, gram_determinant
-from .local import local_design, local_logdet
+from .local import local_design, local_offsets
 from .maximin import BetaGrid, maximin_criterion, solve_maximin, support_count
-from .models import Model, q_efficiency
+from .models import Model
 from .scales import ScaleFunction
 
 
@@ -73,14 +73,19 @@ class TheoryReport:
         return self.violations == 0
 
 
-def _pairwise_q(model: Model, betas: np.ndarray, local_solver=None):
-    """Q(beta_i, beta_j) for all sample pairs, as a (k, k) array."""
-    k = len(betas)
-    q = np.empty((k, k))
-    for i, b in enumerate(betas):
-        for j, bt in enumerate(betas):
-            q[i, j] = q_efficiency(model, float(b), float(bt), local_solver)
-    return q
+def _pairwise_q(model: Model, betas: np.ndarray) -> np.ndarray:
+    """Q(beta_i, beta_j) for all sample pairs, as a (k, k) array.
+
+    Column j is det M(xi[beta_j], beta_i) over all beta_i, one stacked
+    det_info call; its diagonal holds the denominators.  A singular
+    numerator gives Q = 0; a singular denominator raises.
+    """
+    num = np.column_stack(
+        [det_info(local_design(model, float(bt)), model, betas) for bt in betas])
+    den = np.diagonal(num)
+    if not np.all(den > 0.0):
+        raise ArithmeticError("singular denominator: local design is not D-optimal")
+    return np.where(num > 0.0, num / den[:, None], 0.0)
 
 
 def check_uniform_decrease(
@@ -88,7 +93,6 @@ def check_uniform_decrease(
     scale: ScaleFunction,
     envelope: DecayEnvelope,
     beta_samples: Sequence[float],
-    local_solver=None,
 ) -> TheoryReport:
     """Envelope and half-efficiency band check for Q on a sample grid.
 
@@ -103,7 +107,7 @@ def check_uniform_decrease(
     """
     betas = np.asarray(beta_samples, dtype=float)
     ell = np.array([scale(b) for b in betas])
-    q = _pairwise_q(model, betas, local_solver)
+    q = _pairwise_q(model, betas)
     z = ell[:, None] - ell[None, :]
     phi = envelope(z)
     mask = np.abs(z) > 0.0 if envelope.form == "power" else np.ones_like(q, bool)
@@ -153,37 +157,29 @@ def check_condition_2_9(
     """Gram-determinant dominance by sums of local-design determinants.
 
     Checks the model-specific pointwise inequality (single-point dominations
-    for the partially linear models, the scaled-information bound for the
-    scalar model) and reports the smallest constant c0 that makes the
-    determinant-sum form hold over the sampled domain.
+    at the fixed support for the partially linear models, the
+    scaled-information bound for the scalar model) and reports the smallest
+    constant c0 that makes the determinant-sum form hold over the sampled
+    domain.  Each determinant is one stacked call over the parameter grid.
     """
     betas = np.asarray(beta_grid, dtype=float)
     b_lo, b_hi = float(betas.min()), float(betas.max())
+    tuples = [tuple(float(v) for v in x_tuple) for x_tuple in x_samples]
     violations = 0
     worst = -math.inf
     c0 = 0.0
-    for x_tuple in x_samples:
-        x_tuple = tuple(float(v) for v in x_tuple)
-        im = np.array([gram_determinant(x_tuple, model, float(b)) for b in betas])
+    for x_tuple in tuples:
+        im = gram_determinant(x_tuple, model, betas)
         if model.name == "exp1":
             # scalar model: the clipped local design dominates pointwise
-            bound = im.copy()
             bt = min(max(1.0 / x_tuple[0], b_lo), b_hi) if x_tuple[0] > 0 else b_hi
-            loc = model.analytic_local(bt)
-            bound = np.array([det_info(loc, model, float(b)) for b in betas])
-        elif model.name == "exp2":
-            bound = np.zeros_like(im)
-            for xv in x_tuple:
-                bound += np.array(
-                    [gram_determinant((0.0, xv), model, float(b)) for b in betas]
-                )
-        elif model.name == "exp3":
-            bound = np.zeros_like(im)
-            for xv in x_tuple:
-                bound += np.array(
-                    [gram_determinant((0.0, xv, 1.0), model, float(b))
-                     for b in betas]
-                )
+            bound = det_info(local_design(model, bt), model, betas)
+        elif model.fixed_support:
+            # partially linear models: each coordinate joined to the fixed
+            # support dominates on its own
+            bound = sum(
+                gram_determinant(sorted(model.fixed_support + (xv,)), model, betas)
+                for xv in x_tuple)
         else:
             raise ValueError(f"no dominance recipe for model {model.name!r}")
         margin = im - bound
@@ -192,18 +188,15 @@ def check_condition_2_9(
         worst = float(np.max((worst, margin.max())))  # a NaN margin stays NaN
 
         # measured minimal c0 against the determinant-sum form
-        dets = np.zeros_like(im)
-        for bt in _dominating_betas(model, x_tuple, b_lo, b_hi):
-            d = (model.analytic_local(bt) if model.analytic_local
-                 else local_design(model, bt))
-            dets += np.array([det_info(d, model, float(b)) for b in betas])
+        dets = sum(
+            det_info(local_design(model, bt), model, betas)
+            for bt in _dominating_betas(model, x_tuple, b_lo, b_hi))
         ok = dets > 0.0
         if ok.any():
             c0 = max(c0, float((im[ok] / dets[ok]).max()))
     return TheoryReport(
         name="gram-dominance",
-        domain=f"{model.name}, {len(list(x_samples))} tuples x "
-        f"{len(betas)} parameters",
+        domain=f"{model.name}, {len(tuples)} tuples x {len(betas)} parameters",
         violations=violations,
         worst_margin=worst,
         constants={"c0": c0},
@@ -233,8 +226,7 @@ def construct_lower_bound_design(
     wts: list = []
     for k in range(1, n + 1):
         b_k = scale.invert(lo + (2 * k - 1) * B / (2 * n), beta_min, beta_max)
-        d = (model.analytic_local(b_k) if model.analytic_local
-             else local_design(model, b_k))
+        d = local_design(model, b_k)
         pts.extend(d.points)
         wts.extend(w / n for w in d.weights)
     # merge exact duplicates (shared fixed support across the local designs)
@@ -264,10 +256,7 @@ def verify_lower_bounds(
     lo = scale(beta_min)
     targets = lo + np.linspace(0.0, B, audit_count)
     betas = np.array([scale.invert(t, beta_min, beta_max) for t in targets])
-    eff = np.array(
-        [det_info(xi, model, float(b)) / math.exp(local_logdet(model, float(b)))
-         for b in betas]
-    )
+    eff = det_info(xi, model, betas) / np.exp(local_offsets(model, betas))
 
     violations = 0
     worst = -math.inf

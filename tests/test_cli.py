@@ -3,7 +3,9 @@
 import json
 import math
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from optdesign import (
     solve_local,
     solve_maximin,
 )
-from optdesign.cli import main
+from optdesign.cli import build_parser, main
 from optdesign.io import (
     design_from_json,
     design_to_json,
@@ -56,6 +58,19 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["maximin", "--model", "exp1", "--beta-range", "1-10"])
         assert exc.value.code == 2
+
+    def test_readme_command_lines_parse(self):
+        # every `optdesign ...` example in the README names a live
+        # subcommand and live flags
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line.strip() for line in readme.read_text().splitlines()
+                 if line.strip().startswith("optdesign ")]
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert callable(args.func), line
+        assert {shlex.split(line)[1] for line in lines} == {
+            "local", "bayes", "maximin", "verify", "theory", "growth"}
 
 
 class TestLocalCommand:

@@ -20,8 +20,9 @@ from optdesign import (
     log_det,
     solve_local,
 )
-from optdesign.design import det_info
+from optdesign.design import det_info, det_via_cauchy_binet
 from optdesign.local import (
+    Criterion,
     SingularInformationError,
     _exp3_local_design,
     audit_grid,
@@ -148,6 +149,19 @@ class TestDirectionalDerivative:
             directional_derivative(
                 DesignMeasure.point_mass(0.3), EXP2, 2.0, np.array([0.5])
             )
+
+
+class TestCriterionDeterminant:
+    def test_exp3_small_beta_matches_cauchy_binet(self):
+        # far below its own beta the EXP3 local design is nearly singular:
+        # a matrix rounded to double loses ~5e-6 of log det here
+        design = local_design(EXP3, 2.0)
+        betas = np.geomspace(0.01, 0.5, 12)
+        crit = Criterion(betas, np.full(12, 1.0 / 12.0), np.zeros(12))
+        want = np.log(
+            [det_via_cauchy_binet(design, EXP3, float(b)) for b in betas])
+        np.testing.assert_allclose(
+            crit.log_efficiencies(EXP3, design), want, rtol=0.0, atol=1e-7)
 
 
 class TestLocalDesignCache:

@@ -15,6 +15,8 @@ from optdesign import (
     BetaDomainError,
     DesignMeasure,
     Model,
+    ParameterPrior,
+    bayes_criterion,
     get_model,
     gram_determinant,
     h_function,
@@ -22,8 +24,20 @@ from optdesign import (
     q_efficiency,
 )
 from optdesign.design import det_info
-from optdesign.local import local_design, stacked_scores
+from optdesign.local import Criterion, local_design, stacked_scores
 from optdesign.models import q_exp1_closed, q_logistic_closed
+
+
+def _nan_at_half_model():
+    # an EXP1-like score that is NaN at the local design's only point:
+    # the NaN determinant must not slip past the "<= 0" guards
+    def score(x, beta):
+        return np.where(x == 0.5, np.nan, x * np.exp(-beta * x))[..., None]
+
+    return Model(name="nan-at-half", m=1, m_eta=0,
+                 design_interval=(0.0, 1.0), beta_range=(1e-12, math.inf),
+                 score=score,
+                 analytic_local=lambda b: DesignMeasure.point_mass(0.5))
 
 
 class TestModelSpec:
@@ -178,20 +192,23 @@ class TestQEfficiency:
         assert 0.0 < q < 1.0
 
     def test_nan_determinant_raises(self):
-        # an EXP1-like score that is NaN at the local design's only point:
-        # the NaN determinant must not slip past the "<= 0" guards
-        def score(x, beta):
-            return np.where(x == 0.5, np.nan, x * np.exp(-beta * x))[..., None]
-
-        model = Model(name="nan-at-half", m=1, m_eta=0,
-                      design_interval=(0.0, 1.0), beta_range=(1e-12, math.inf),
-                      score=score,
-                      analytic_local=lambda b: DesignMeasure.point_mass(0.5))
+        model = _nan_at_half_model()
         with pytest.raises(ArithmeticError):
             det_info(DesignMeasure.point_mass(0.5), model, 2.0)
         for b, bt in ((2.0, 3.0), (3.0, 2.0)):
             with pytest.raises(ArithmeticError):
                 q_efficiency(model, b, bt)
+
+    def test_nan_determinant_raises_in_the_criterion(self):
+        # the criteria share det_info's determinant, so they raise too
+        # instead of reading the NaN as a singular matrix
+        model = _nan_at_half_model()
+        with pytest.raises(ArithmeticError):
+            Criterion.local(2.0).log_efficiencies(
+                model, DesignMeasure.point_mass(0.5))
+        with pytest.raises(ArithmeticError):
+            bayes_criterion(DesignMeasure.point_mass(0.5), model,
+                            ParameterPrior.uniform(1.0, 3.0))
 
     def test_decay_envelope_on_log_grid(self):
         # Q <= e^2 e^(-2 |log b - log bt|) over a wide log grid

@@ -19,10 +19,14 @@ from optdesign import (
     check_condition_2_9,
     check_uniform_decrease,
     construct_lower_bound_design,
+    gram_determinant,
     growth_study,
+    local_design,
+    q_efficiency,
     verify_lower_bounds,
 )
 from optdesign import theory
+from optdesign.design import det_info
 from optdesign.theory import write_growth_csv
 from optdesign.scales import identity, logarithm
 
@@ -100,6 +104,33 @@ class TestUniformDecrease:
         assert rep.violations == 1 and not rep.passed
 
 
+class TestStackedEfficiency:
+    @pytest.mark.parametrize("model, betas", [
+        (EXP1, np.geomspace(0.1, 1e4, 40)),
+        (EXP2, np.geomspace(0.1, 1e3, 40)),
+        (LOGISTIC, np.linspace(0.0, 30.0, 40)),
+        (EXP3, np.geomspace(0.01, 500.0, 30)),
+    ], ids=["exp1", "exp2", "logistic", "exp3"])
+    def test_pairwise_q_equals_q_efficiency(self, model, betas):
+        want = np.array([
+            [q_efficiency(model, float(b), float(bt), local_design)
+             for bt in betas]
+            for b in betas
+        ])
+        np.testing.assert_allclose(
+            theory._pairwise_q(model, betas), want, rtol=1e-12, atol=0.0)
+
+        # the stacked determinants are the scalar ones, bit for bit
+        lo, hi = model.design_interval
+        rng = np.random.default_rng(5)
+        xi = DesignMeasure.from_arrays(rng.uniform(lo, hi, 5), rng.uniform(size=5))
+        scalar = [det_info(xi, model, float(b)) for b in betas]
+        assert det_info(xi, model, betas).tolist() == scalar
+        pts = tuple(rng.uniform(lo, hi, model.m))
+        scalar = [gram_determinant(pts, model, float(b)) for b in betas]
+        assert gram_determinant(pts, model, betas).tolist() == scalar
+
+
 class TestGramDominance:
     def test_scalar_model(self):
         rep = check_condition_2_9(
@@ -121,13 +152,20 @@ class TestGramDominance:
 
         def nan_at_tuple(points, model, beta):
             if points == (0.25, 0.5):
-                return math.nan
+                return np.full(np.shape(beta), math.nan)
             return real(points, model, beta)
 
         monkeypatch.setattr(theory, "gram_determinant", nan_at_tuple)
         rep = check_condition_2_9(EXP2, [(0.25, 0.5)], betas)
         assert rep.violations == len(betas) and not rep.passed
         assert math.isnan(rep.worst_margin)
+
+    def test_generator_of_tuples_is_counted(self):
+        tuples = [(0.25, 0.5), (0.1, 0.9)]
+        betas = np.geomspace(1.0, 20.0, 10)
+        rep = check_condition_2_9(EXP2, (t for t in tuples), betas)
+        assert rep.domain == "exp2, 2 tuples x 10 parameters"
+        assert rep == check_condition_2_9(EXP2, tuples, betas)
 
     def test_three_parameter_model(self):
         rng = np.random.default_rng(4)
