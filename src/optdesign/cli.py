@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         # late-parsed option values (priors, ranges) are still usage errors
         parser.exit(2, f"error: {exc}\n")
-    except (ValueError, RuntimeError, OSError, KeyError) as exc:
+    except (ValueError, RuntimeError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,9 +114,28 @@ def dirderiv_stack(Fs: np.ndarray, Ms: np.ndarray) -> np.ndarray:
     return (np.matmul(Fs, Minv) * Fs).sum(axis=2)
 
 
-def _weighted_logdet(Fs: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
-    """sum_j q_j log det M_j(w); NEG_INF if any M_j is singular."""
-    ld = logdet_stack(info_stack(Fs, w))
+def moment_matrix(Fs: np.ndarray) -> np.ndarray:
+    """Outer products f f^T of the score stack, shape (J*m*m, n): column k
+    holds f(x_k, beta_j) f(x_k, beta_j)^T for every j, so that the stack of
+    information matrices M_j(w) is (A @ w).reshape(J, m, m), one GEMV."""
+    J, n, m = Fs.shape
+    return np.einsum("jki,jkl->jilk", Fs, Fs).reshape(J * m * m, n)
+
+
+def moment_info(A: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """info_stack from the moment matrix A: M_j(w) for every j, (J, m, m)."""
+    return (A @ w).reshape(-1, m, m)
+
+
+def moment_derivative(A: np.ndarray, q: np.ndarray, Ms: np.ndarray) -> np.ndarray:
+    """q @ dirderiv_stack from the moment matrix A: the weighted derivative
+    sum_j q_j f_j^T M_j^{-1} f_j at every grid point, one GEMV."""
+    return (q[:, None, None] * np.linalg.inv(Ms)).ravel() @ A
+
+
+def _weighted_logdet(q: np.ndarray, Ms: np.ndarray) -> float:
+    """sum_j q_j log det M_j; NEG_INF if any M_j is singular."""
+    ld = logdet_stack(Ms)
     if not np.all(np.isfinite(ld)):
         return NEG_INF
     return float(q @ ld)
@@ -133,7 +152,7 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
     w = np.clip(w, 1e-14, None)
     w /= w.sum()
 
-    c = _weighted_logdet(Fs_S, q, w)
+    c = _weighted_logdet(q, info_stack(Fs_S, w))
     for _ in range(_NEWTON_ITERS):
         Ms = info_stack(Fs_S, w)
         Minv = np.linalg.inv(Ms)
@@ -159,7 +178,7 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
         for _ in range(40):
             wc = w + step * delta
             if wc.min() > 0.0:
-                cc = _weighted_logdet(Fs_S, q, wc)
+                cc = _weighted_logdet(q, info_stack(Fs_S, wc))
                 if cc >= c:
                     w, c = wc / wc.sum(), cc
                     improved = True
@@ -182,27 +201,31 @@ def maximize_weighted_logdet(
 
     Multiplicative updates and vertex-exchange steps locate the support;
     exact Newton solves on the support finish to the equivalence tolerance.
-    The first phase takes at most max_iter steps.  Returns (w, max_dirderiv,
-    criterion_history); the criterion history is nondecreasing.
+    The first phase takes at most max_iter steps.  Every M_j(w) and the
+    weighted derivative D = sum_j q_j d_j come from one moment matrix (one
+    GEMV each), and the M of the accepted iterate is carried to the next
+    step.  Returns (w, max_dirderiv, criterion_history): max_dirderiv is
+    the largest D at the returned w, and the criterion history is
+    nondecreasing.
     """
     n = Fs.shape[1]
+    A = moment_matrix(Fs)
+
     w = np.array(w0, dtype=float)
     w = np.clip(w, 0.0, None)
     w /= w.sum()
 
     history = []
-    c = _weighted_logdet(Fs, q, w)
+    Ms = moment_info(A, w, m)
+    c = _weighted_logdet(q, Ms)
     if c == NEG_INF:
         raise InfeasibleGridError("initial weights give a singular matrix")
     history.append(c)
 
     # phase 1: multiplicative + vertex exchange until roughly converged
-    maxd = math.inf
     rough_tol = max(tol, 1e-4)
     for it in range(max_iter):
-        Ms = info_stack(Fs, w)
-        d = dirderiv_stack(Fs, Ms)
-        D = q @ d  # (n,)
+        D = moment_derivative(A, q, Ms)  # (n,)
         maxd = float(D.max())
         if maxd <= m * (1.0 + rough_tol):
             break
@@ -215,9 +238,10 @@ def maximize_weighted_logdet(
             for _ in range(20):
                 wc = (1.0 - alpha) * w
                 wc[k] += alpha
-                cc = _weighted_logdet(Fs, q, wc)
+                Mc = moment_info(A, wc, m)
+                cc = _weighted_logdet(q, Mc)
                 if cc >= c:
-                    w, c = wc, cc
+                    w, Ms, c = wc, Mc, cc
                     accepted = True
                     break
                 alpha *= 0.5
@@ -229,13 +253,13 @@ def maximize_weighted_logdet(
         if not np.isfinite(s) or s <= 0:
             raise InfeasibleGridError("weight update collapsed")
         w /= s
-        c = _weighted_logdet(Fs, q, w)
+        Ms = moment_info(A, w, m)
+        c = _weighted_logdet(q, Ms)
         history.append(c)
 
     # phase 2: cluster collapse + restricted Newton + exchange
     for _ in range(60):
-        Ms = info_stack(Fs, w)
-        D = q @ dirderiv_stack(Fs, Ms)
+        D = moment_derivative(A, q, Ms)
         maxd = float(D.max())
         if maxd <= m * (1.0 + tol):
             break
@@ -272,7 +296,7 @@ def maximize_weighted_logdet(
         if cS >= c:
             w = np.zeros(n)
             w[reps] = wS
-            c = cS
+            Ms, c = moment_info(A, w, m), cS
             history.append(c)
         else:
             # collapse lost ground: fall back to a plain exchange step
@@ -281,9 +305,10 @@ def maximize_weighted_logdet(
             for _ in range(30):
                 wc = (1.0 - alpha) * w
                 wc[k] += alpha
-                cc = _weighted_logdet(Fs, q, wc)
+                Mc = moment_info(A, wc, m)
+                cc = _weighted_logdet(q, Mc)
                 if cc >= c:
-                    w, c = wc, cc
+                    w, Ms, c = wc, Mc, cc
                     history.append(c)
                     break
                 alpha *= 0.5
@@ -292,6 +317,7 @@ def maximize_weighted_logdet(
 
     w[w < 1e-15] = 0.0
     w /= w.sum()
+    maxd = float(moment_derivative(A, q, moment_info(A, w, m)).max())
     return w, maxd, history
 
 
@@ -370,14 +396,15 @@ def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
     nodes b = betas[j + i], in blocks of _NODE_BLOCK nodes so that the score
     stack at x stays at _NODE_BLOCK * len(x) * m entries.
 
-    Raises SingularInformationError if M is singular at any node.  The
-    caller checks the nodes and the design points.
+    Raises SingularInformationError if M is singular at any node, by the
+    extended-precision det_info: far below a design's own beta a double
+    determinant stays positive while M^{-1} is already noise.  The caller
+    checks the nodes and the design points.
     """
+    if not np.all(det_info(design, model, betas) > 0.0):
+        raise SingularInformationError("singular information matrix")
     Ms = info_stack(stacked_scores(model, design.points_array(), betas),
                     design.weights_array())
-    dets = np.linalg.det(Ms) if model.m > 1 else Ms[:, 0, 0]
-    if design.n < model.m or not np.all((dets > 0.0) & np.isfinite(dets)):
-        raise SingularInformationError("singular information matrix")
     for j in range(0, len(betas), _NODE_BLOCK):
         Fx = stacked_scores(model, x, betas[j:j + _NODE_BLOCK])
         yield j, dirderiv_stack(Fx, Ms[j:j + _NODE_BLOCK])
@@ -465,9 +492,13 @@ def certify(model: Model, design: DesignMeasure,
     mean (Chaloner & Larntz 1989): the q-weighted directional derivative
     must stay below m.  min (Wong 1992): least-favorable weights mu on the
     active set of near-worst nodes, then the mu-weighted derivative must
-    stay below m and sit at m on the support.
+    stay below m and sit at m on the support.  Both fail unless the
+    xi-average of the derivative, sum_i w_i d(x_i) = m for any nonsingular
+    design, holds to the tolerance: a derivative built from an inverse
+    that rounding has destroyed reads low everywhere.
     """
     ax = audit_grid(model.design_interval, design)
+    sup_idx = np.searchsorted(ax, design.points_array())  # ax holds the points
     mu = None
     if criterion.aggregate == "mean":
         d = criterion.derivative(model, design, ax)
@@ -481,9 +512,10 @@ def certify(model: Model, design: DesignMeasure,
         weights = _least_favorable_lp(dmat)
         d = weights @ dmat
         tol = ACTIVE_TOL
-        sup_idx = [int(np.argmin(np.abs(ax - p))) for p in design.points]
-        support_ok = all(abs(d[i] - model.m) <= 1e-4 * model.m for i in sup_idx)
+        support_ok = bool(np.all(np.abs(d[sup_idx] - model.m) <= 1e-4 * model.m))
         mu = {float(b): float(w) for b, w in zip(betas, weights) if w > 1e-12}
+    average = float(design.weights_array() @ d[sup_idx])
+    support_ok = support_ok and abs(average - model.m) <= tol * model.m
     worst = int(np.argmax(d))
     return EquivalenceCertificate(
         max_directional_derivative=float(d[worst]),

@@ -159,6 +159,14 @@ class TestVerifyCommand:
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 1
 
+    def test_singular_design_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        out = tmp_path / "singular.json"
+        write_artifact(str(out), EXP2, 3.0, DesignMeasure((0.5,), (1.0,)))
+        assert main(["verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestBayesCommand:
     def test_uniform_prior(self, tmp_path, capsys):

@@ -27,6 +27,14 @@ from optdesign.local import (
     _exp3_local_design,
     audit_grid,
     build_grid,
+    certify,
+    dirderiv_stack,
+    info_stack,
+    maximize_weighted_logdet,
+    moment_derivative,
+    moment_info,
+    moment_matrix,
+    stacked_scores,
 )
 from optdesign.models import h_function
 
@@ -149,6 +157,51 @@ class TestDirectionalDerivative:
             directional_derivative(
                 DesignMeasure.point_mass(0.3), EXP2, 2.0, np.array([0.5])
             )
+
+    def test_certify_fails_closed_far_below_the_design_beta(self):
+        # at beta = 1e-4 the double-precision inverse is noise: the
+        # derivative stays below m = 3, but its xi-average is not 3
+        design = local_design(EXP3, 2.0)
+        cert = certify(EXP3, design, Criterion.local(1e-4))
+        assert cert.max_directional_derivative < EXP3.m
+        assert not cert.passed
+        with pytest.raises(SingularInformationError):
+            certify(EXP3, design, Criterion.local(1e-6))
+
+
+def _engine_problem(model, nodes=6, count=201):
+    """Score stack on a uniform grid at several beta nodes, with quadrature-like
+    node weights."""
+    x = build_grid(model.design_interval, GridSpec(count=count))
+    betas = np.geomspace(1.0, 5.0, nodes)
+    q = np.random.default_rng(1).uniform(0.5, 1.5, nodes)
+    return stacked_scores(model, x, betas), q / q.sum()
+
+
+class TestMomentMatrixEngine:
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3], ids=lambda m: m.name)
+    def test_kernels_match_info_and_dirderiv_stacks(self, model):
+        Fs, q = _engine_problem(model)
+        rng = np.random.default_rng(7)
+        A = moment_matrix(Fs)
+        for _ in range(3):
+            w = rng.uniform(0.0, 1.0, Fs.shape[1])
+            w /= w.sum()
+            Ms = moment_info(A, w, model.m)
+            np.testing.assert_allclose(Ms, info_stack(Fs, w), rtol=1e-12)
+            np.testing.assert_allclose(
+                moment_derivative(A, q, Ms), q @ dirderiv_stack(Fs, Ms),
+                rtol=1e-12)
+
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3], ids=lambda m: m.name)
+    def test_engine_reports_its_own_iterate(self, model):
+        Fs, q = _engine_problem(model)
+        n = Fs.shape[1]
+        w, maxd, history = maximize_weighted_logdet(
+            Fs, q, np.full(n, 1.0 / n), model.m, tol=1e-7)
+        want = (q @ dirderiv_stack(Fs, info_stack(Fs, w))).max()
+        np.testing.assert_allclose(maxd, want, rtol=1e-12)
+        assert np.all(np.diff(history) >= 0.0)
 
 
 class TestCriterionDeterminant:
