@@ -2,9 +2,9 @@
 
 The criterion is the prior average of log det M(xi, beta); its standardized
 form subtracts the local optimum's log-determinant at each node, which
-shifts the criterion by a design-independent constant.  Optimization reuses
-the grid engine from the local solver with node-averaged directional
-derivatives.
+shifts the criterion by a design-independent constant.  Optimization runs
+the grid engine of :mod:`optdesign.local` with node-averaged directional
+derivatives; under a point-mass prior it is the local solver.
 """
 
 from __future__ import annotations
@@ -213,7 +213,8 @@ def solve_bayes(
 
     The grid solve locates the support structure; SLSQP then frees the
     support locations, and an exchange loop inserts the worst audit point
-    whenever the averaged-derivative certificate fails.
+    whenever the averaged-derivative certificate fails.  A point-mass prior
+    gives the local design: this is also :func:`local.solve_local`.
     """
     crit = prior_criterion(model, prior)
     nodes, qw = crit.betas, crit.q
@@ -241,11 +242,14 @@ def solve_bayes(
     design, cert = rough, None
     for _ in range(8):
         pts, wts = _polish_bayes(model, nodes, qw, pts, wts)
-        # exact weight solve at the polished support
-        wts, _ = _newton_weights(
-            stacked_scores(model, pts, nodes), qw, wts, model.m
-        )
         design = default_merge(DesignMeasure.from_arrays(pts, wts), model)
+        # exact weight solve on the merged support, so that the returned
+        # weights are the optimum of the returned points
+        pts = design.points_array()
+        wts, _ = _newton_weights(
+            stacked_scores(model, pts, nodes), qw, design.weights_array(),
+            model.m)
+        design = DesignMeasure.from_arrays(pts, wts)
         cert = certify(model, design, crit)
         if cert.passed:
             break

@@ -2,11 +2,11 @@
 
 The optimizer combines multiplicative weight updates w <- w * d/m with
 occasional vertex-exchange steps toward the maximizer of the directional
-derivative, followed by grid refinement around the surviving support.  The
-same engine drives the Bayesian and maximin solvers: it maximizes any
-weighted average of log-determinants over probability vectors on the grid.
-All three criteria are a :class:`Criterion` and share one equivalence
-audit, :func:`certify`.
+derivative.  The same engine drives the Bayesian and maximin solvers: it
+maximizes any weighted average of log-determinants over probability vectors
+on the grid.  A local design is the Bayes design of a point-mass prior, so
+:func:`solve_local` runs the Bayes solve.  All three criteria are a
+:class:`Criterion` and share one equivalence audit, :func:`certify`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from scipy.optimize import linprog
 from .design import (
     DesignMeasure,
     NEG_INF,
-    default_merge,
     det_info,
     stacked_scores,
 )
@@ -47,16 +46,12 @@ class SingularInformationError(ArithmeticError):
 class GridSpec:
     count: int = 2001
     spacing: str = "uniform"  # "uniform" | "log-tilted"
-    refinement_rounds: int = 3
-    refinement_radius: float = 2.0  # in units of the local grid spacing
 
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("grid count must be at least 2")
         if self.spacing not in ("uniform", "log-tilted"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.refinement_rounds > 0 and self.refinement_radius <= 0.0:
-            raise ValueError("refinement_radius must be positive when rounds > 0")
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,10 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
     c = _weighted_logdet(q, info_stack(Fs_S, w))
     for _ in range(_NEWTON_ITERS):
         Ms = info_stack(Fs_S, w)
-        Minv = np.linalg.inv(Ms)
+        try:
+            Minv = np.linalg.inv(Ms)
+        except np.linalg.LinAlgError:
+            break
         B = np.matmul(np.matmul(Fs_S, Minv), Fs_S.transpose(0, 2, 1))
         g = (q[:, None] * np.diagonal(B, axis1=1, axis2=2)).sum(axis=0)
         if np.max(np.abs(g - m)) <= 1e-12 * m:
@@ -321,31 +319,6 @@ def maximize_weighted_logdet(
     return w, maxd, history
 
 
-def refine_grid(
-    x: np.ndarray,
-    w: np.ndarray,
-    interval,
-    radius_factor: float,
-    shrink: int = 10,
-    keep_every: int = 16,
-    support_tol: float = 1e-7,
-) -> np.ndarray:
-    """Fine grid around the surviving support, plus a coarse global skeleton."""
-    lo, hi = interval
-    sup = np.flatnonzero(w > support_tol)
-    pieces = [x[::keep_every], x[sup], np.array([lo, hi])]
-    gaps = np.diff(x)
-    for i in sup:
-        left = gaps[i - 1] if i > 0 else gaps[0]
-        right = gaps[i] if i < len(gaps) else gaps[-1]
-        s = min(left, right)
-        r = radius_factor * s
-        npts = 2 * int(round(radius_factor * shrink)) + 1
-        pieces.append(np.linspace(x[i] - r, x[i] + r, npts))
-    newx = np.concatenate(pieces)
-    return np.unique(newx[(newx >= lo) & (newx <= hi)])
-
-
 def transfer_weights(x_old, w_old, x_new) -> np.ndarray:
     """Map weights onto the nearest points of a new grid."""
     w = np.zeros(len(x_new))
@@ -355,15 +328,6 @@ def transfer_weights(x_old, w_old, x_new) -> np.ndarray:
     idx = np.where(use_left, left, idx)
     np.add.at(w, idx, w_old)
     return w / w.sum()
-
-
-def _seed_weights(x: np.ndarray, seed: Optional[DesignMeasure]) -> np.ndarray:
-    w = np.full(len(x), 1.0 / len(x))
-    if seed is None:
-        return w
-    w *= 0.1
-    ws = transfer_weights(seed.points_array(), seed.weights_array(), x)
-    return w + 0.9 * ws
 
 
 def audit_grid(interval, design: DesignMeasure, count: int = 8001) -> np.ndarray:
@@ -528,36 +492,12 @@ def certify(model: Model, design: DesignMeasure,
 
 
 def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
-    """Local D-optimal design for a fixed beta, with an equivalence audit."""
+    """Local D-optimal design for a fixed beta, with an equivalence audit:
+    the Bayes design of the point-mass prior at beta."""
+    from .bayes import ParameterPrior, solve_bayes
+
     model.check_beta(beta)
-    seed = model.analytic_local(beta) if model.analytic_local else None
-    extra = list(model.fixed_support) + (list(seed.points) if seed else [])
-    x = build_grid(model.design_interval, grid, extra_points=extra)
-    w = _seed_weights(x, seed)
-
-    history = []
-    for round_ in range(grid.refinement_rounds + 1):
-        w, _, hist = maximize_weighted_logdet(
-            Fs=stacked_scores(model, x, [beta]),
-            q=np.array([1.0]),
-            w0=w,
-            m=model.m,
-        )
-        history.extend(hist)
-        if round_ < grid.refinement_rounds:
-            x_new = refine_grid(x, w, model.design_interval, grid.refinement_radius)
-            x_new = np.unique(np.concatenate((x_new, np.asarray(extra))))
-            w = transfer_weights(x, w, x_new)
-            x = x_new
-
-    raw = DesignMeasure.from_arrays(x[w > 0], w[w > 0])
-    design = default_merge(raw, model)
-    crit = Criterion.local(beta)
-    if crit.log_efficiencies(model, design)[0] == NEG_INF:
-        raise InfeasibleGridError("grid too coarse: optimal design is singular")
-
-    cert = certify(model, design, crit)
-    return design, cert
+    return solve_bayes(model, ParameterPrior.point_mass(beta), grid)
 
 
 def _exp3_local_design(beta: float) -> DesignMeasure:
@@ -592,7 +532,9 @@ def _exp3_local_design(beta: float) -> DesignMeasure:
 
 @functools.lru_cache(maxsize=None)
 def local_design(model: Model, beta: float) -> DesignMeasure:
-    """Local D-optimal design, via the fastest reliable route for the model."""
+    """Local D-optimal design, via the fastest reliable route for the model:
+    the analytic design where the model has one, else the numeric solve,
+    which is the point-prior Bayes solve (solve_local -> solve_bayes)."""
     if model.analytic_local is not None:
         return model.analytic_local(beta)
     if model.name == "exp3":

@@ -8,6 +8,8 @@ import pytest
 from optdesign import (
     EXP1,
     EXP2,
+    EXP3,
+    LOGISTIC,
     DesignMeasure,
     ParameterPrior,
     averaged_directional_derivative,
@@ -142,6 +144,13 @@ class TestSolveBayes:
             assert cb.passed and cl.passed
             assert db.n == dl.n == 1
             assert abs(db.points[0] - dl.points[0]) < 1e-6
+        # a local design is the point-prior Bayes design, by the same solve
+        for model, beta in ((EXP1, 3.0), (EXP2, 4.0), (EXP3, 10.0),
+                            (LOGISTIC, 12.0)):
+            db, cb = solve_bayes(model, ParameterPrior.point_mass(beta))
+            dl, cl = solve_local(model, beta)
+            assert cb.passed
+            assert db == dl and cb == cl
 
     def test_narrow_uniform_one_point(self, bayes_results):
         design, cert = bayes_results[10]

@@ -20,10 +20,11 @@ from optdesign import (
     log_det,
     solve_local,
 )
-from optdesign.design import det_info, det_via_cauchy_binet
+from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
 from optdesign.local import (
     Criterion,
     SingularInformationError,
+    _newton_weights,
     _exp3_local_design,
     audit_grid,
     build_grid,
@@ -81,6 +82,19 @@ class TestSolveLocal:
             rtol=1e-8,
         )
 
+    @pytest.mark.parametrize("beta", [130.0, 300.0, 1000.0])
+    def test_two_parameter_fast_decay_matches_oracle_determinant(self, beta):
+        # no point positions: above beta ~ 37 the score's far tail equals
+        # f(0) to double precision, so a tail point can stand in for 0
+        design, cert = solve_local(EXP2, beta)
+        assert cert.passed
+        assert design.n == 2
+        np.testing.assert_allclose(
+            det_info(design, EXP2, beta),
+            1.0 / (4.0 * (math.e * beta) ** 2),
+            rtol=1e-8,
+        )
+
     @pytest.mark.parametrize("beta", [1.0, 2.0, 5.0, 10.0, 25.0])
     def test_logistic_matches_oracle(self, beta):
         design, cert = solve_local(LOGISTIC, beta)
@@ -90,7 +104,8 @@ class TestSolveLocal:
             det_info(design, LOGISTIC, beta), 0.25, rtol=1e-8
         )
 
-    @pytest.mark.parametrize("beta", [1.0, 3.0, 10.0, 30.0, 100.0])
+    @pytest.mark.parametrize(
+        "beta", [1.0, 3.0, 10.0, 30.0, 100.0, 160.0, 370.0, 850.0])
     def test_three_parameter_structure(self, beta):
         design, cert = solve_local(EXP3, beta)
         assert cert.passed
@@ -176,6 +191,15 @@ def _engine_problem(model, nodes=6, count=201):
     betas = np.geomspace(1.0, 5.0, nodes)
     q = np.random.default_rng(1).uniform(0.5, 1.5, nodes)
     return stacked_scores(model, x, betas), q / q.sum()
+
+
+class TestNewtonWeights:
+    def test_singular_support_returns_start_weights(self):
+        # at beta = 1e4 both score rows round to (1, 0): M is exactly singular
+        Fs = stacked_scores(EXP2, np.array([0.0, 1.0]), [1e4])
+        w, c = _newton_weights(Fs, np.ones(1), np.array([0.5, 0.5]), 2)
+        np.testing.assert_array_equal(w, [0.5, 0.5])
+        assert c == NEG_INF
 
 
 class TestMomentMatrixEngine:
