@@ -1,11 +1,14 @@
 """Standardized maximin D-optimal designs over a finite parameter grid.
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
-grid.  Optimization runs in three stages: a saddle-point search alternating
-weighted-Bayesian solves with exponentiated-gradient updates of the
-least-favorable weights, a continuous minimax polish of the surviving
-support (SLSQP on the epigraph form), and an exchange loop that inserts the
-worst audit point whenever certification fails.
+grid.  Optimization runs in three stages.  Stage 1 solves the grid problem:
+for scalar information (m = 1) exactly, as the matrix-game linear program of
+:func:`optdesign.local._least_favorable_lp`; otherwise by a saddle-point
+search alternating weighted-Bayesian solves with exponentiated-gradient
+updates of the least-favorable weights.  Stage 2 is a continuous minimax
+polish of the surviving support (SLSQP on the epigraph form), and stage 3 an
+exchange loop that inserts the worst audit point whenever certification
+fails.
 """
 
 from __future__ import annotations

@@ -35,7 +35,11 @@ class ScaleFunction:
         return self._ell(float(beta_max)) - self._ell(float(beta_min))
 
     def invert(self, target: float, beta_min: float, beta_max: float) -> float:
-        """Solve ell(beta) = target on [beta_min, beta_max] by bisection."""
+        """Solve ell(beta) = target on [beta_min, beta_max] by bisection.
+
+        Stops at the fixed point: once the bracket is two adjacent doubles,
+        the midpoint rounds to an end and no step changes (lo, hi) again.
+        """
         lo, hi = float(beta_min), float(beta_max)
         flo, fhi = self._ell(lo), self._ell(hi)
         if not flo <= target <= fhi:
@@ -43,8 +47,12 @@ class ScaleFunction:
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if self._ell(mid) < target:
+                if lo == mid:
+                    break
                 lo = mid
             else:
+                if hi == mid:
+                    break
                 hi = mid
         return 0.5 * (lo + hi)
 

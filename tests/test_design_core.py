@@ -23,6 +23,8 @@ from optdesign import (
 )
 from optdesign.design import det_info
 from optdesign.scales import (
+    ScaleFunction,
+    density_integral,
     identity,
     logarithm,
     step,
@@ -244,3 +246,39 @@ class TestScaleFunctions:
         s = logarithm()
         b = s.invert(s(7.3), 1.0, 100.0)
         np.testing.assert_allclose(b, 7.3, rtol=1e-10)
+
+    @pytest.mark.parametrize("scale, lo, hi", [
+        (identity(), 1.0, 100.0),
+        (logarithm(), 1.0, 5000.0),
+        (truncated_exponential(0.3), 0.0, 1.0 / 0.3),
+        (step((1.5, 2.0, 7.25)), 1.0, 10.0),
+        (density_integral(lambda b: 1.0 / b, 1.0), 1.0, 50.0),
+    ], ids=["identity", "logarithm", "truncexp", "step", "density"])
+    def test_invert_stops_at_the_bisection_fixed_point(self, scale, lo, hi):
+        def reference(target):
+            # the full 200-step bisection, without the early stop
+            a, b = lo, hi
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if scale(mid) < target:
+                    a = mid
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return scale(b)
+
+        counting = ScaleFunction(scale.kind, counted)
+        flo, fhi = scale(lo), scale(hi)
+        for target in np.linspace(flo, fhi, 9)[[0, 1, 3, 4, 6, 8]]:
+            calls.clear()
+            assert counting.invert(target, lo, hi) == reference(target)
+            # a root at 0 bisects down through the subnormals to the cap;
+            # any other root is a few dozen doubles' halvings from the start
+            assert len(calls) <= 2 + 200
+            if scale(lo) < target or lo > 0.0:
+                assert len(calls) < 2 + 100

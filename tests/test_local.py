@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
 from optdesign import (
     EXP1,
     EXP2,
     EXP3,
     LOGISTIC,
+    BetaGrid,
     DesignMeasure,
     GridSpec,
     canonical_merge,
@@ -24,6 +25,7 @@ from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
 from optdesign.local import (
     Criterion,
     SingularInformationError,
+    _least_favorable_lp,
     _newton_weights,
     _exp3_local_design,
     audit_grid,
@@ -249,6 +251,95 @@ class TestLocalDesignCache:
 
     def test_cache_returns_identical_object(self):
         assert local_design(EXP2, 9.0) is local_design(EXP2, 9.0)
+
+
+def _dense_game_value(dmat):
+    """Oracle: the value min_mu max(mu^T dmat) of the whole game, one dense LP."""
+    A, n = dmat.shape
+    c = np.zeros(A + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.hstack([dmat.T, -np.ones((n, 1))]),
+                  b_ub=np.zeros(n), A_eq=[[1.0] * A + [0.0]], b_eq=[1.0],
+                  bounds=[(0.0, None)] * A + [(None, None)], method="highs")
+    assert res.success
+    return res.fun
+
+
+def _exp1_grid_game(B):
+    """The matrix game that solve_maximin's scalar grid LP solves for EXP1
+    on [1, B]: rows are design points, columns parameter values."""
+    betas = BetaGrid(1.0, float(B)).values
+    offsets = Criterion.maximin(EXP1, betas).offsets
+    x = build_grid(EXP1.design_interval, GridSpec(),
+                   extra_points=list(EXP1.fixed_support))
+    Fs = stacked_scores(EXP1, x, betas)
+    return -(Fs[:, :, 0] ** 2 * np.exp(-offsets)[:, None]).T
+
+
+def _off_stride_game():
+    """60 x 60 game with value 0.75 whose optimal strategies are rows
+    {7, 33} and columns {13, 41}: none in the starting stride (every 20th
+    index and the last)."""
+    R, C = [7, 33], [13, 41]
+    d = np.ones((60, 60))
+    d[np.ix_(R, range(60))] = 0.0
+    d[:, C] = 2.0
+    d[np.ix_(R, C)] = [[1.0, 0.5], [0.5, 1.0]]
+    return d
+
+
+def _random_games():
+    rng = np.random.default_rng(11)
+    games = [rng.normal(size=shape) for shape in
+             [(1, 40), (40, 1), (3, 500), (500, 3), (45, 45), (120, 70)]]
+    dup = rng.normal(size=(30, 80))
+    games.append(np.concatenate([dup, dup[::3], dup[5:6]]))
+    games.append(rng.integers(-2, 3, size=(50, 90)).astype(float))
+    return games
+
+
+class TestLeastFavorableLP:
+    """Row and column generation against a dense LP of the whole game: game
+    values must agree, vertices need not (degenerate games have many)."""
+
+    @pytest.mark.parametrize(
+        "dmat",
+        _random_games() + [_off_stride_game()],
+        ids=lambda d: "x".join(map(str, d.shape)))
+    def test_value_matches_dense_oracle(self, dmat):
+        self._check(dmat)
+
+    @pytest.mark.parametrize("B", [12, 150])
+    def test_exp1_grid_game_matches_dense_oracle(self, B):
+        self._check(_exp1_grid_game(B))
+
+    def test_identity_needs_every_row(self):
+        # the unique optimum is uniform, and the stride holds 3 of 37 rows
+        mu = _least_favorable_lp(np.eye(37))
+        np.testing.assert_allclose(mu, np.full(37, 1.0 / 37.0), rtol=1e-9)
+        self._check(np.eye(37))
+
+    def test_off_stride_game_finds_its_strategies(self):
+        mu = _least_favorable_lp(_off_stride_game())
+        assert np.flatnonzero(mu).tolist() == [7, 33]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payoff_raises(self, bad):
+        # (2, 137) is off the starting stride, so only the input check sees it
+        d = np.random.default_rng(3).uniform(0.0, 1.0, (5, 200))
+        d[2, 137] = bad
+        with pytest.raises(ArithmeticError):
+            _least_favorable_lp(d)
+
+    @staticmethod
+    def _check(dmat):
+        mu = _least_favorable_lp(dmat)
+        assert mu.shape == (dmat.shape[0],)
+        assert np.all(mu >= 0.0)
+        np.testing.assert_allclose(mu.sum(), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            (mu @ dmat).max(), _dense_game_value(dmat), rtol=0.0,
+            atol=1e-7 * np.abs(dmat).max())
 
 
 def _exp3_reference_design(beta):
