@@ -1,38 +1,46 @@
 """Standardized maximin D-optimal designs over a finite parameter grid.
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
-grid.  Optimization runs in three stages.  Stage 1 solves the grid problem:
-for scalar information (m = 1) exactly, as the matrix-game linear program of
-:func:`optdesign.local._least_favorable_lp`; otherwise by a saddle-point
-search alternating weighted-Bayesian solves with exponentiated-gradient
-updates of the least-favorable weights.  Stage 2 is a continuous minimax
-polish of the surviving support (SLSQP on the epigraph form), and stage 3 an
-exchange loop that inserts the worst audit point whenever certification
-fails.
+grid.  Stage 1 puts weights on an x-grid: for m = 1 the exact grid solution
+(a matrix game); for m > 1 a mixture of local designs.  Stage 2 polishes the
+merged support on the continuum (SLSQP, epigraph form); stage 3 inserts the
+worst audit point while the certificate fails.  If the m > 1 seed still
+ends uncertified, Kelley's cutting planes solve the grid problem exactly
+and stages 2-3 rerun: log det M is concave in the weights, so the cut game
+bounds the grid optimum from above and the best query from below, and the
+method stops when that gap closes.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .design import DesignMeasure, default_merge
+from .design import DesignMeasure, canonical_merge, default_merge
 from .local import (
     Criterion,
     GridSpec,
     _least_favorable_lp,
     build_grid,
     certify,
+    dirderiv_stack,
     info_stack,
+    local_design,
     logdet_stack,
-    maximize_weighted_logdet,
+    solve_local,
     stacked_scores,
     transfer_weights,
 )
 from .models import Model
+
+log = logging.getLogger(__name__)
+
+_KELLEY_TOL = 1e-9  # cutting planes: relative gap between the bounds
+_KELLEY_ROUNDS = 60  # cutting planes: round cap (EXP3 from the seed takes 39)
 
 
 @dataclass(frozen=True)
@@ -64,15 +72,11 @@ def maximin_criterion(design: DesignMeasure, model: Model, grid: BetaGrid):
     betas = grid.values
     g = Criterion.maximin(model, betas).log_efficiencies(model, design)
     j = int(np.argmin(g))
-    if g[j] == -math.inf:
-        return 0.0, float(betas[j])
     return float(math.exp(g[j])), float(betas[j])
 
 
 def support_count(design: DesignMeasure, interval=(0.0, 1.0)) -> int:
     """Number of support points after the canonical reporting merge."""
-    from .design import canonical_merge
-
     lo, hi = interval
     return canonical_merge(design, 1e-3 * (hi - lo), 1e-3).n
 
@@ -82,8 +86,6 @@ def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
     span = math.log(betas[-1] / betas[0])
     n = max(int(math.ceil(span / (2.0 * math.log(2.0)))), 1)
     w = np.full(len(x), 0.1 / len(x))
-    from .local import local_design
-
     for k in range(1, n + 1):
         b = betas[0] * math.exp((2 * k - 1) * span / (2 * n))
         d = local_design(model, float(b))
@@ -92,124 +94,115 @@ def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
 
 
 def _polish_minimax(model: Model, betas, offsets, points, weights):
-    """Free-support minimax refinement: maximize t s.t. log-eff_j >= t."""
-    lo, hi = model.design_interval
+    """Free-support minimax refinement: maximize t s.t. log-eff_j >= t over
+    z = (points, weights, t)."""
     k = len(points)
-    J = len(betas)
 
-    def logeffs(pts, wts):
-        Fs = stacked_scores(model, np.asarray(pts), betas)  # (J, k, m)
-        ld = logdet_stack(info_stack(Fs, np.asarray(wts)))
-        return ld - offsets
-
-    def unpack(z):
-        return z[:k], z[k : 2 * k], z[2 * k]
-
-    def neg_t(z):
-        return -z[2 * k]
+    def logeffs(z):
+        Fs = stacked_scores(model, np.asarray(z[:k]), betas)  # (J, k, m)
+        return logdet_stack(info_stack(Fs, np.asarray(z[k:2 * k]))) - offsets
 
     def cons_eff(z):
-        pts, wts, t = unpack(z)
-        g = logeffs(pts, wts)
+        g = logeffs(z)
         g[~np.isfinite(g)] = -1e6
-        return g - t
+        return g - z[2 * k]
 
-    z0 = np.concatenate(
-        (points, weights, [float(np.min(logeffs(points, weights)))])
-    )
-    bounds = [(lo, hi)] * k + [(0.0, 1.0)] * k + [(None, 0.0)]
+    z0 = np.concatenate((points, weights, [0.0]))
+    z0[-1] = float(np.min(logeffs(z0)))
     res = minimize(
-        neg_t,
-        z0,
-        method="SLSQP",
-        bounds=bounds,
+        lambda z: -z[2 * k], z0, method="SLSQP",
+        bounds=[model.design_interval] * k + [(0.0, 1.0)] * k + [(None, 0.0)],
         constraints=[
             {"type": "ineq", "fun": cons_eff},
-            {"type": "eq", "fun": lambda z: z[k : 2 * k].sum() - 1.0},
+            {"type": "eq", "fun": lambda z: z[k:2 * k].sum() - 1.0},
         ],
         options={"maxiter": 400, "ftol": 1e-14},
     )
-    pts, wts, _ = unpack(res.x)
-    wts = np.clip(wts, 0.0, None)
-    wts /= wts.sum()
-    return np.asarray(pts), wts
+    wts = np.clip(res.x[k:2 * k], 0.0, None)
+    return res.x[:k], wts / wts.sum()
 
 
 def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Exact grid solution for scalar-information models.
-
-    With m = 1 the information at each parameter is linear in the design
-    weights, so maximizing the worst efficiency min_j sum_i w_i a_ij is the
-    matrix game that _least_favorable_lp solves, with the signs flipped.
-    """
+    """Exact grid solution for scalar information (m = 1): each efficiency
+    is linear in the weights, so maximizing min_j sum_i w_i a_ij is the
+    matrix game of _least_favorable_lp with the signs flipped."""
     a = Fs[:, :, 0] ** 2 * np.exp(-offsets)[:, None]  # (J, n) efficiencies
     return _least_favorable_lp(-a.T)
 
 
-def solve_maximin(
-    model: Model,
-    grid: BetaGrid,
-    xgrid: GridSpec = GridSpec(),
-    outer_iters: int = 60,
-    eta0: float = 10.0,
-):
-    """Standardized maximin D-optimal design with a least-favorable certificate."""
-    betas = grid.values
-    if len(betas) == 1:
-        # a single parameter value reduces to the local problem
-        from .local import solve_local
+def _kelley_weights(Fs: np.ndarray, offsets: np.ndarray, w0: np.ndarray, m: int):
+    """Kelley's cutting planes (Pronzato & Pazman 2013, ch. 9) for the grid
+    problem max_w min_j g_j(w), g_j = log det M_j(w) - offsets_j.
 
-        return solve_local(model, float(betas[0]), xgrid)
-    crit = Criterion.maximin(model, betas)
-    offsets = crit.offsets
-    x = build_grid(model.design_interval, xgrid,
-                   extra_points=list(model.fixed_support))
-    Fs = stacked_scores(model, x, betas)
+    At each query point w_k node j adds the cut sum_i w_i (g_j(w_k) +
+    d_j(x_i; w_k) - m), the tangent plane of the concave g_j on the simplex
+    (sum_i w_k,i d_j(x_i) = m, sum_i w_i = 1).  The next query point solves
+    the cut game, whose value bounds the optimum from above; the best min_j
+    g_j seen bounds it from below.  A singular query point (an LP vertex on
+    < m points, whose rounded det may read > 0) moves to its midpoint with
+    the incumbent w*, where M >= M(w*)/2 > 0; w0 must be nonsingular.
+    Returns (w*, lower, upper, rounds, stop), stop "gap" or "round cap"."""
+    w = best_w = w0
+    lower, cuts = -math.inf, []
+    for rounds in range(1, _KELLEY_ROUNDS + 1):
+        Ms = info_stack(Fs, w)
+        g = logdet_stack(Ms) - offsets
+        if np.count_nonzero(w) < m or not np.all(np.isfinite(g)):
+            w = 0.5 * (w + best_w)
+            Ms = info_stack(Fs, w)
+            g = logdet_stack(Ms) - offsets
+        if g.min() > lower:
+            lower, best_w = float(g.min()), w
+        # negated: the game of _least_favorable_lp minimizes its largest entry
+        cuts.append(m - g[:, None] - dirderiv_stack(Fs, Ms))
+        neg = np.concatenate(cuts)
+        w = _least_favorable_lp(neg.T)
+        upper = -float(np.max(neg @ w))
+        if upper - lower <= _KELLEY_TOL * max(1.0, abs(lower)):
+            return best_w, lower, upper, rounds, "gap"
+    return best_w, lower, upper, rounds, "round cap"
 
-    if model.m == 1:
-        # stage 1, exact: the grid problem is a linear program
-        best_w = _grid_maximin_lp(Fs, offsets)
-    else:
-        # stage 1, saddle-point search: exponentiated-gradient on the
-        # least-favorable weights, weighted-Bayesian best response in the design
-        mu = np.full(len(betas), 1.0 / len(betas))
-        w = _seed_mixture_weights(model, betas, x)
-        best_w, best_phi = w.copy(), -math.inf
-        prev_phi = -math.inf
-        for t in range(1, outer_iters + 1):
-            w, _, _ = maximize_weighted_logdet(
-                Fs, mu, w, model.m, tol=1e-6, max_iter=200
-            )
-            g = logdet_stack(info_stack(Fs, w)) - offsets
-            phi = float(np.exp(g.min()))
-            if phi > best_phi:
-                best_phi, best_w = phi, w.copy()
-            eta = eta0 / math.sqrt(t)
-            mu = mu * np.exp(-eta * (g - g.min()))
-            mu /= mu.sum()
-            if abs(phi - prev_phi) < 1e-8 and t > 10:
-                break
-            prev_phi = phi
 
-    rough = default_merge(DesignMeasure.from_arrays(x[best_w > 0], best_w[best_w > 0]),
-                          model)
-
-    # stage 2/3: continuous polish plus certificate-driven exchange
-    pts = rough.points_array()
-    wts = rough.weights_array()
-    design = rough
-    cert = None
+def _polish_and_exchange(model: Model, crit: Criterion, x, w):
+    """Stages 2-3 from grid weights w: continuous polish of the merged grid
+    support, then exchange until the certificate passes."""
+    rough = default_merge(DesignMeasure.from_arrays(x[w > 0], w[w > 0]), model)
+    pts, wts = rough.points_array(), rough.weights_array()
     for _ in range(6):
-        pts, wts = _polish_minimax(model, betas, offsets, pts, wts)
+        pts, wts = _polish_minimax(model, crit.betas, crit.offsets, pts, wts)
         design = default_merge(DesignMeasure.from_arrays(pts, wts), model)
         cert = certify(model, design, crit)
         if cert.passed:
             break
-        # insert the violating point and re-polish
-        worst_x = cert.worst_point
+        worst_x = cert.worst_point  # insert it and re-polish
         if min(abs(worst_x - p) for p in design.points) < 1e-6:
             break  # violation at an existing point: no structural fix left
         pts = np.append(design.points_array(), worst_x)
         wts = np.append(design.weights_array() * 0.97, 0.03)
-
     return design, cert
+
+
+def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
+    """Standardized maximin D-optimal design with a least-favorable certificate."""
+    betas = grid.values
+    if len(betas) == 1:  # a single parameter value is the local problem
+        return solve_local(model, float(betas[0]), xgrid)
+    crit = Criterion.maximin(model, betas)
+    x = build_grid(model.design_interval, xgrid,
+                   extra_points=list(model.fixed_support))
+    Fs = stacked_scores(model, x, betas)
+    if model.m == 1:  # stage 1, exact: the grid problem is a linear program
+        w = _grid_maximin_lp(Fs, crit.offsets)
+        return _polish_and_exchange(model, crit, x, w)
+    w0 = _seed_mixture_weights(model, betas, x)
+    design, cert = _polish_and_exchange(model, crit, x, w0)
+    if cert.passed:
+        return design, cert
+    # the seed's basin fails: solve the grid problem exactly and restart
+    w, lower, upper, rounds, stop = _kelley_weights(Fs, crit.offsets, w0, model.m)
+    log.debug("maximin %s on %d parameter values: seed certificate failed "
+              "(max derivative %.9g, bound %g); Kelley fallback ran %d "
+              "rounds, gap %.3g, stopped on the %s", model.name, len(betas),
+              cert.max_directional_derivative, cert.bound, rounds,
+              upper - lower, stop)
+    return _polish_and_exchange(model, crit, x, w)

@@ -1,6 +1,10 @@
 """Worst-case-efficiency criterion and the maximin solver."""
 
+import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +21,22 @@ from optdesign import (
     solve_maximin,
     support_count,
 )
-from optdesign.local import Criterion, local_design
+from optdesign.local import (
+    Criterion,
+    GridSpec,
+    _least_favorable_lp,
+    build_grid,
+    dirderiv_stack,
+    info_stack,
+    local_design,
+    logdet_stack,
+    stacked_scores,
+)
+from optdesign.maximin import (
+    _KELLEY_TOL,
+    _kelley_weights,
+    _seed_mixture_weights,
+)
 from optdesign.models import q_exp1_closed
 
 
@@ -145,6 +164,97 @@ class TestSolveMaximin:
         assert design.points[0] == pytest.approx(0.0, abs=1e-6)
         phi, _ = maximin_criterion(design, EXP2, BetaGrid(1.0, 4.0, count=40))
         assert phi > 0.5
+
+    # (B, parameter values, support size, phi).  Provenance: phi at B =
+    # 3.484026254796982 is perfbench/reference.json's seed-0 maximin-multi
+    # value; the others are the certified values of the exponentiated-
+    # gradient saddle-point grid solve that preceded the seed-and-Kelley
+    # path, on the same grids.
+    @pytest.mark.parametrize("B, count, points, want", [
+        (3.484026254796982, 20, 3, 0.7141730066604756),
+        (3.0, 20, 3, 0.74405195592452),  # the seed fails; Kelley runs
+        (20.0, 60, 5, 0.5710964529080454),
+        (50.0, 100, 6, 0.5383810156276221),
+    ])
+    def test_two_parameter_certified_values(self, B, count, points, want):
+        grid = BetaGrid(1.0, B, count)
+        design, cert = solve_maximin(EXP2, grid)
+        assert cert.passed
+        assert support_count(design) == points
+        phi, _ = maximin_criterion(design, EXP2, grid)
+        assert abs(phi - want) <= 1e-6
+
+
+def _grid_problem(model, B, count=20):
+    betas = BetaGrid(1.0, B, count).values
+    x = build_grid(model.design_interval, GridSpec(),
+                   extra_points=list(model.fixed_support))
+    Fs = stacked_scores(model, x, betas)
+    offsets = Criterion.maximin(model, betas).offsets
+    return Fs, offsets, _seed_mixture_weights(model, betas, x)
+
+
+def _worst_log_efficiency(Fs, offsets, w):
+    return float(np.min(logdet_stack(info_stack(Fs, w)) - offsets))
+
+
+class TestKelley:
+    def test_bounds_bracket_grid_designs(self):
+        Fs, offsets, w0 = _grid_problem(EXP2, 3.484026254796982)
+        w, lower, upper, rounds, stop = _kelley_weights(Fs, offsets, w0, EXP2.m)
+        assert stop == "gap"
+        assert upper - lower <= _KELLEY_TOL * max(1.0, abs(lower))
+        assert lower == _worst_log_efficiency(Fs, offsets, w)
+        rng = np.random.default_rng(0)
+        rivals = [w0] + list(rng.dirichlet(np.ones(Fs.shape[1]), size=20))
+        for r in rivals:
+            assert upper >= _worst_log_efficiency(Fs, offsets, r)
+        sign, _ = np.linalg.slogdet(info_stack(Fs, w))
+        assert np.all(sign > 0) and np.count_nonzero(w) >= EXP2.m
+
+    @pytest.mark.parametrize("B, count", [
+        (3.6098181511667633, 20),  # the vertex's M reads singular
+        (7.0, 5),  # rounding leaves every det at the vertex positive
+    ])
+    def test_singular_vertex_is_moved_toward_the_incumbent(self, B, count):
+        Fs, offsets, w0 = _grid_problem(EXP3, B, count)
+        # the first cutting-plane vertex from the seed carries < m points
+        Ms = info_stack(Fs, w0)
+        g = logdet_stack(Ms) - offsets
+        cuts = g[:, None] + dirderiv_stack(Fs, Ms) - EXP3.m
+        assert np.count_nonzero(_least_favorable_lp(-cuts.T)) < EXP3.m
+        w, lower, upper, rounds, stop = _kelley_weights(Fs, offsets, w0, EXP3.m)
+        assert stop == "gap"
+        assert np.isfinite(lower) and np.isfinite(upper)
+        assert lower >= _worst_log_efficiency(Fs, offsets, w0)
+
+
+class TestFallbackLog:
+    def test_fallback_emits_one_debug_record(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        solve_maximin(EXP2, BetaGrid(1.0, 3.0, 20))
+        records = [r for r in caplog.records if r.name.startswith("optdesign")]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        msg = records[0].getMessage()
+        assert "max derivative 2.00312" in msg
+        assert "Kelley fallback ran" in msg and "stopped on the gap" in msg
+
+    def test_seeded_solve_logs_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        solve_maximin(EXP3, BetaGrid(1.0, 2.6905995908071647, 20))
+        assert not [r for r in caplog.records if r.name.startswith("optdesign")]
+
+    def test_silent_by_default(self):
+        code = ("import logging, optdesign as od; "
+                "logging.getLogger('optdesign').setLevel(logging.DEBUG); "
+                "od.solve_maximin(od.EXP2, od.BetaGrid(1.0, 3.0, 20))")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stderr == "" and out.stdout == ""
 
 
 class TestEfficiencyConsistency:

@@ -277,6 +277,11 @@ class TestGrowthStudy:
         x1 = float(table[4][2])
         assert x1 == rows[1].design.points[0]
 
+    def test_two_parameter_maximin_support_grows(self):
+        rows = growth_study(EXP2, "maximin", [4.0, 20.0, 50.0])
+        assert all(r.certified for r in rows)
+        assert [r.support_count for r in rows] == [3, 5, 6]
+
     def test_bayes_alias_accepted(self):
         rows = growth_study(EXP1, "bayes", [5.0])
         assert rows[0].certified and rows[0].support_count == 1
