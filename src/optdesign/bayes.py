@@ -15,17 +15,23 @@ from typing import Optional
 
 import numpy as np
 
-from .design import DesignMeasure, NEG_INF, default_merge, information_matrix
+from .design import (
+    DesignMeasure,
+    NEG_INF,
+    default_merge,
+    det_info,
+    information_matrix,
+)
 from .local import (
     Criterion,
     GridSpec,
     _newton_weights,
     build_grid,
-    certify,
     info_stack,
     local_offsets,
     logdet_stack,
     maximize_weighted_logdet,
+    refine,
     stacked_scores,
 )
 from .models import Model
@@ -175,11 +181,14 @@ def averaged_directional_derivative(
     return prior_criterion(model, prior).derivative(model, design, x)
 
 
-def _polish_bayes(model: Model, nodes, qw, points, weights):
+def _polish_bayes(model: Model, crit: Criterion, points, weights):
     """Continuous refinement of support locations and weights for the
-    node-averaged log-determinant criterion."""
+    node-averaged log-determinant criterion, then the exact weight solve on
+    the merged support, so that the returned weights are the optimum of the
+    returned points."""
     from scipy.optimize import minimize
 
+    nodes, qw = crit.betas, crit.q
     lo, hi = model.design_interval
     k = len(points)
 
@@ -202,19 +211,23 @@ def _polish_bayes(model: Model, nodes, qw, points, weights):
         options={"maxiter": 300, "ftol": 1e-15},
     )
     z = res.x if res.fun <= neg_crit(z0) else z0
-    pts, wts = z[:k], np.clip(z[k:], 0.0, None)
-    return pts, wts / wts.sum()
+    wts = np.clip(z[k:], 0.0, None)
+    design = default_merge(DesignMeasure.from_arrays(z[:k], wts / wts.sum()), model)
+    pts = design.points_array()
+    wts, _ = _newton_weights(
+        stacked_scores(model, pts, nodes), qw, design.weights_array(), model.m)
+    return DesignMeasure.from_arrays(pts, wts)
 
 
 def solve_bayes(
     model: Model, prior: ParameterPrior, grid: GridSpec = GridSpec()
 ):
-    """Bayesian D-optimal design: grid phase, continuous polish, audit.
+    """Bayesian D-optimal design: grid phase, then :func:`local.refine`.
 
-    The grid solve locates the support structure; SLSQP then frees the
-    support locations, and an exchange loop inserts the worst audit point
-    whenever the averaged-derivative certificate fails.  A point-mass prior
-    gives the local design: this is also :func:`local.solve_local`.
+    The grid solve locates the support structure; refine frees the support
+    locations and inserts the worst audit point whenever the
+    averaged-derivative certificate fails.  A point-mass prior gives the
+    local design: this is also :func:`local.solve_local`.
     """
     crit = prior_criterion(model, prior)
     nodes, qw = crit.betas, crit.q
@@ -235,30 +248,7 @@ def solve_bayes(
         m=model.m,
         tol=1e-7,
     )
-    rough = default_merge(DesignMeasure.from_arrays(x[w > 0], w[w > 0]), model)
-
-    pts = rough.points_array()
-    wts = rough.weights_array()
-    design, cert = rough, None
-    for _ in range(8):
-        pts, wts = _polish_bayes(model, nodes, qw, pts, wts)
-        design = default_merge(DesignMeasure.from_arrays(pts, wts), model)
-        # exact weight solve on the merged support, so that the returned
-        # weights are the optimum of the returned points
-        pts = design.points_array()
-        wts, _ = _newton_weights(
-            stacked_scores(model, pts, nodes), qw, design.weights_array(),
-            model.m)
-        design = DesignMeasure.from_arrays(pts, wts)
-        cert = certify(model, design, crit)
-        if cert.passed:
-            break
-        worst_x = cert.worst_point
-        if min(abs(worst_x - p) for p in design.points) < 1e-8:
-            break  # violation at an existing point: not a structure defect
-        pts = np.append(design.points_array(), worst_x)
-        wts = np.append(design.weights_array() * 0.99, 0.01)
-    return design, cert
+    return refine(model, crit, x, w, _polish_bayes)
 
 
 def bayes_a_criterion(
@@ -272,13 +262,12 @@ def bayes_a_criterion(
     from .local import local_design
 
     nodes, qw = quadrature(prior)
+    if not np.all(det_info(design, model, nodes) > 0.0):
+        return POS_INF
     total = 0.0
     for b, q in zip(nodes, qw):
         b = float(b)
         M = information_matrix(design, model, b).entries
-        det = np.linalg.det(M)
-        if det <= 0.0 or not np.isfinite(det):
-            return POS_INF
         tr = float(np.trace(np.linalg.inv(M)))
         Mloc = information_matrix(local_design(model, b), model, b).entries
         tr_loc = float(np.trace(np.linalg.inv(Mloc)))

@@ -6,7 +6,8 @@ derivative.  The same engine drives the Bayesian and maximin solvers: it
 maximizes any weighted average of log-determinants over probability vectors
 on the grid.  A local design is the Bayes design of a point-mass prior, so
 :func:`solve_local` runs the Bayes solve.  All three criteria are a
-:class:`Criterion` and share one equivalence audit, :func:`certify`.
+:class:`Criterion` and share one equivalence audit, :func:`certify`, and one
+polish-certify-exchange loop, :func:`refine`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from scipy.optimize import linprog
 from .design import (
     DesignMeasure,
     NEG_INF,
+    default_merge,
     det_info,
     stacked_scores,
 )
@@ -32,6 +34,9 @@ _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
 _VERTEX_EVERY = 5  # engine phase 1: every 5th step is a vertex exchange
 _SUPPORT_EPS = 1e-10  # engine phase 2: support = weights above eps * max
 _NEWTON_ITERS = 60  # Newton steps of the weight solve on a fixed support
+_EXCHANGE_ROUNDS = 8  # refine: polish-certify-exchange rounds
+_EXCHANGE_WEIGHT = 0.03  # refine: weight of an inserted audit point
+_EXCHANGE_NEAR = 1e-6  # refine: a worst point this near the support stops it
 _GAME_STRIDE = 20  # matrix game: the first restricted game takes every 20th
 _GAME_TOL = 1e-12  # matrix game: generation tolerance, relative to max|dmat|
 # HiGHS at its tightest feasibility tolerances: at the default 1e-7 the last
@@ -537,6 +542,34 @@ def certify(model: Model, design: DesignMeasure,
     )
 
 
+def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
+           polish) -> tuple:
+    """Polish-certify-exchange from grid weights w on the points x.
+
+    The merged grid support is polished on the continuum by
+    polish(model, criterion, points, weights), which returns the merged
+    DesignMeasure, and certified.  While the certificate fails, its worst
+    audit point joins the support (Wynn 1970) and the polish runs again, for
+    at most _EXCHANGE_ROUNDS rounds; a worst point within _EXCHANGE_NEAR of
+    the support stops the loop, since inserting it changes no structure.
+    Returns (design, certificate).
+    """
+    design = default_merge(DesignMeasure.from_arrays(x[w > 0], w[w > 0]), model)
+    pts, wts = design.points_array(), design.weights_array()
+    for _ in range(_EXCHANGE_ROUNDS):
+        design = polish(model, criterion, pts, wts)
+        cert = certify(model, design, criterion)
+        if cert.passed:
+            break
+        worst_x = cert.worst_point
+        if min(abs(worst_x - p) for p in design.points) < _EXCHANGE_NEAR:
+            break
+        pts = np.append(design.points_array(), worst_x)
+        wts = np.append(design.weights_array() * (1.0 - _EXCHANGE_WEIGHT),
+                        _EXCHANGE_WEIGHT)
+    return design, cert
+
+
 def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
     """Local D-optimal design for a fixed beta, with an equivalence audit:
     the Bayes design of the point-mass prior at beta."""
@@ -546,36 +579,6 @@ def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
     return solve_bayes(model, ParameterPrior.point_mass(beta), grid)
 
 
-def _exp3_local_design(beta: float) -> DesignMeasure:
-    """Local D-optimal design of the three-parameter exponential model.
-
-    Local optima have equal weights at {0, x*, 1}; x* maximizes the
-    three-point Gram determinant, a one-dimensional problem.
-    """
-    from scipy.optimize import minimize_scalar
-
-    from .models import h_function
-
-    # bracket scan: h_function(0, x, 1, beta)^2 on the whole grid in one
-    # expression (e^{-beta * 0} = 1); only its argmax is used, to bracket
-    # the bounded refine of the scalar h_function below
-    xs = np.linspace(1e-6, 1.0 - 1e-6, 1001)
-    e2 = np.exp(-beta * xs)
-    e3 = math.exp(-beta)
-    vals = (xs * e2 * (1.0 - e3) + e3 * (e2 - 1.0)) ** 2
-    k = int(np.argmax(vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    res = minimize_scalar(
-        lambda xx: -h_function(0.0, xx, 1.0, beta) ** 2,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    third = 1.0 / 3.0
-    return DesignMeasure((0.0, float(res.x), 1.0), (third, third, third))
-
-
 @functools.lru_cache(maxsize=None)
 def local_design(model: Model, beta: float) -> DesignMeasure:
     """Local D-optimal design, via the fastest reliable route for the model:
@@ -583,8 +586,6 @@ def local_design(model: Model, beta: float) -> DesignMeasure:
     which is the point-prior Bayes solve (solve_local -> solve_bayes)."""
     if model.analytic_local is not None:
         return model.analytic_local(beta)
-    if model.name == "exp3":
-        return _exp3_local_design(beta)
     design, cert = solve_local(model, beta)
     if not cert.passed:
         raise RuntimeError(f"local solve failed certification for beta={beta}")

@@ -2,13 +2,14 @@
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
 grid.  Stage 1 puts weights on an x-grid: for m = 1 the exact grid solution
-(a matrix game); for m > 1 a mixture of local designs.  Stage 2 polishes the
-merged support on the continuum (SLSQP, epigraph form); stage 3 inserts the
-worst audit point while the certificate fails.  If the m > 1 seed still
-ends uncertified, Kelley's cutting planes solve the grid problem exactly
-and stages 2-3 rerun: log det M is concave in the weights, so the cut game
-bounds the grid optimum from above and the best query from below, and the
-method stops when that gap closes.
+(a matrix game); for m > 1 a mixture of local designs.  Stages 2-3 are the
+shared :func:`local.refine`: it polishes the merged support on the continuum
+(here SLSQP in epigraph form) and inserts the worst audit point while the
+certificate fails.  If the m > 1 seed still ends uncertified, Kelley's
+cutting planes solve the grid problem exactly and stages 2-3 rerun: log det
+M is concave in the weights, so the cut game bounds the grid optimum from
+above and the best query from below, and the method stops when that gap
+closes.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .local import (
     GridSpec,
     _least_favorable_lp,
     build_grid,
-    certify,
     dirderiv_stack,
     info_stack,
     local_design,
     logdet_stack,
+    refine,
     solve_local,
     stacked_scores,
     transfer_weights,
@@ -93,14 +94,14 @@ def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _polish_minimax(model: Model, betas, offsets, points, weights):
+def _polish_minimax(model: Model, crit: Criterion, points, weights):
     """Free-support minimax refinement: maximize t s.t. log-eff_j >= t over
-    z = (points, weights, t)."""
+    z = (points, weights, t); returns the merged design."""
     k = len(points)
 
     def logeffs(z):
-        Fs = stacked_scores(model, np.asarray(z[:k]), betas)  # (J, k, m)
-        return logdet_stack(info_stack(Fs, np.asarray(z[k:2 * k]))) - offsets
+        Fs = stacked_scores(model, np.asarray(z[:k]), crit.betas)  # (J, k, m)
+        return logdet_stack(info_stack(Fs, np.asarray(z[k:2 * k]))) - crit.offsets
 
     def cons_eff(z):
         g = logeffs(z)
@@ -119,7 +120,7 @@ def _polish_minimax(model: Model, betas, offsets, points, weights):
         options={"maxiter": 400, "ftol": 1e-14},
     )
     wts = np.clip(res.x[k:2 * k], 0.0, None)
-    return res.x[:k], wts / wts.sum()
+    return default_merge(DesignMeasure.from_arrays(res.x[:k], wts / wts.sum()), model)
 
 
 def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -163,25 +164,6 @@ def _kelley_weights(Fs: np.ndarray, offsets: np.ndarray, w0: np.ndarray, m: int)
     return best_w, lower, upper, rounds, "round cap"
 
 
-def _polish_and_exchange(model: Model, crit: Criterion, x, w):
-    """Stages 2-3 from grid weights w: continuous polish of the merged grid
-    support, then exchange until the certificate passes."""
-    rough = default_merge(DesignMeasure.from_arrays(x[w > 0], w[w > 0]), model)
-    pts, wts = rough.points_array(), rough.weights_array()
-    for _ in range(6):
-        pts, wts = _polish_minimax(model, crit.betas, crit.offsets, pts, wts)
-        design = default_merge(DesignMeasure.from_arrays(pts, wts), model)
-        cert = certify(model, design, crit)
-        if cert.passed:
-            break
-        worst_x = cert.worst_point  # insert it and re-polish
-        if min(abs(worst_x - p) for p in design.points) < 1e-6:
-            break  # violation at an existing point: no structural fix left
-        pts = np.append(design.points_array(), worst_x)
-        wts = np.append(design.weights_array() * 0.97, 0.03)
-    return design, cert
-
-
 def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
     """Standardized maximin D-optimal design with a least-favorable certificate."""
     betas = grid.values
@@ -193,9 +175,9 @@ def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
     Fs = stacked_scores(model, x, betas)
     if model.m == 1:  # stage 1, exact: the grid problem is a linear program
         w = _grid_maximin_lp(Fs, crit.offsets)
-        return _polish_and_exchange(model, crit, x, w)
+        return refine(model, crit, x, w, _polish_minimax)
     w0 = _seed_mixture_weights(model, betas, x)
-    design, cert = _polish_and_exchange(model, crit, x, w0)
+    design, cert = refine(model, crit, x, w0, _polish_minimax)
     if cert.passed:
         return design, cert
     # the seed's basin fails: solve the grid problem exactly and restart
@@ -205,4 +187,4 @@ def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
               "rounds, gap %.3g, stopped on the %s", model.name, len(betas),
               cert.max_directional_derivative, cert.bound, rounds,
               upper - lower, stop)
-    return _polish_and_exchange(model, crit, x, w)
+    return refine(model, crit, x, w, _polish_minimax)

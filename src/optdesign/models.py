@@ -106,6 +106,34 @@ def _exp3_score(x, beta):
     return np.stack([np.ones_like(e), e, -x * e], axis=-1)
 
 
+def _exp3_local_design(beta: float) -> DesignMeasure:
+    """Local D-optimal design of the three-parameter exponential model.
+
+    Local optima have equal weights at {0, x*, 1}; x* maximizes the
+    three-point Gram determinant, a one-dimensional problem.
+    """
+    from scipy.optimize import minimize_scalar
+
+    # bracket scan: h_function(0, x, 1, beta)^2 on the whole grid in one
+    # expression (e^{-beta * 0} = 1); only its argmax is used, to bracket
+    # the bounded refine of the scalar h_function below
+    xs = np.linspace(1e-6, 1.0 - 1e-6, 1001)
+    e2 = np.exp(-beta * xs)
+    e3 = math.exp(-beta)
+    vals = (xs * e2 * (1.0 - e3) + e3 * (e2 - 1.0)) ** 2
+    k = int(np.argmax(vals))
+    lo = xs[max(k - 1, 0)]
+    hi = xs[min(k + 1, len(xs) - 1)]
+    res = minimize_scalar(
+        lambda xx: -h_function(0.0, xx, 1.0, beta) ** 2,
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    third = 1.0 / 3.0
+    return DesignMeasure((0.0, float(res.x), 1.0), (third, third, third))
+
+
 def _logistic_score(x, beta):
     # Scalar Fisher information e^{x-beta}/(1+e^{x-beta})^2; the score is
     # its square root, written in |x-beta| so that exp cannot overflow.
@@ -158,6 +186,7 @@ EXP3 = Model(
     design_interval=(0.0, 1.0),
     beta_range=(1e-12, math.inf),
     score=_exp3_score,
+    analytic_local=_exp3_local_design,
     fixed_support=(0.0, 1.0),
 )
 
@@ -177,31 +206,21 @@ class SingularNumeratorWarning(UserWarning):
     pass
 
 
-def q_efficiency(
-    model: Model,
-    beta: float,
-    beta_tilde: float,
-    local_solver: Optional[Callable[[Model, float], DesignMeasure]] = None,
-) -> float:
+def q_efficiency(model: Model, beta: float, beta_tilde: float) -> float:
     """Information loss Q = det M(xi[beta_tilde], beta) / det M(xi[beta], beta).
 
-    Local designs come from the model's analytic oracle or from
-    ``local_solver``.  A singular numerator yields 0; a singular denominator
-    is a hard error (the local design must be nonsingular), and so is a
-    non-finite determinant on either side (ArithmeticError from det_info).
+    Local designs come from :func:`local.local_design`: the model's analytic
+    oracle, else the numeric solve.  A singular numerator yields 0; a
+    singular denominator is a hard error (the local design must be
+    nonsingular), and so is a non-finite determinant on either side
+    (ArithmeticError from det_info).
     """
+    from .local import local_design
+
     model.check_beta(beta)
     model.check_beta(beta_tilde)
-
-    def local(b):
-        if model.analytic_local is not None:
-            return model.analytic_local(b)
-        if local_solver is None:
-            raise ValueError(f"model {model.name} needs a local_solver for Q")
-        return local_solver(model, b)
-
-    num = det_info(local(beta_tilde), model, beta)
-    den = det_info(local(beta), model, beta)
+    num = det_info(local_design(model, beta_tilde), model, beta)
+    den = det_info(local_design(model, beta), model, beta)
     if den <= 0.0:
         raise ArithmeticError("singular denominator: local design is not D-optimal")
     if num <= 0.0:

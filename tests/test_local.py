@@ -14,20 +14,22 @@ from optdesign import (
     BetaGrid,
     DesignMeasure,
     GridSpec,
+    ParameterPrior,
     canonical_merge,
     directional_derivative,
     information_matrix,
     local_design,
     log_det,
     solve_local,
+    solve_maximin,
 )
+from optdesign.bayes import _polish_bayes, prior_criterion
 from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
 from optdesign.local import (
     Criterion,
     SingularInformationError,
     _least_favorable_lp,
     _newton_weights,
-    _exp3_local_design,
     audit_grid,
     build_grid,
     certify,
@@ -37,9 +39,11 @@ from optdesign.local import (
     moment_derivative,
     moment_info,
     moment_matrix,
+    refine,
     stacked_scores,
 )
-from optdesign.models import h_function
+from optdesign.maximin import _polish_minimax
+from optdesign.models import _exp3_local_design, h_function
 
 
 class TestGridSpec:
@@ -362,3 +366,35 @@ class TestExp3LocalDesign:
         for beta in np.geomspace(0.01, 5000.0, 200):
             beta = float(beta)
             assert _exp3_local_design(beta) == _exp3_reference_design(beta)
+
+
+class TestRefine:
+    """The one polish-certify-exchange loop, from a one-point start at
+    x = 0.5: the polishes never add a point, so every further support
+    point was inserted by the exchange."""
+
+    def _one_point(self):
+        x = build_grid(EXP1.design_interval, GridSpec())
+        return x, np.where(x == 0.5, 1.0, 0.0)
+
+    def _check(self, design, cert, want, points):
+        assert cert.passed
+        assert design.n == len(points) > 1
+        np.testing.assert_allclose(design.points_array(), points, rtol=2e-5)
+        np.testing.assert_allclose(design.points_array(), want.points_array(),
+                                   rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(design.weights_array(),
+                                   want.weights_array(), rtol=0.0, atol=1e-6)
+
+    def test_bayes_support_grows_to_the_solved_design(self, bayes_results):
+        prior = ParameterPrior.uniform(1.0, 50.0)
+        design, cert = refine(EXP1, prior_criterion(EXP1, prior),
+                              *self._one_point(), _polish_bayes)
+        self._check(design, cert, bayes_results[50][0], (0.03829, 0.318472))
+
+    def test_maximin_support_grows_to_the_solved_design(self):
+        grid = BetaGrid(1.0, 20.0)
+        design, cert = refine(EXP1, Criterion.maximin(EXP1, grid.values),
+                              *self._one_point(), _polish_minimax)
+        want, _ = solve_maximin(EXP1, grid)
+        self._check(design, cert, want, (0.066306, 0.298745, 0.919543))

@@ -1,5 +1,6 @@
 """Built-in models: scores, local oracles, efficiency functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from optdesign import (
     DesignMeasure,
     Model,
     ParameterPrior,
+    bayes_a_criterion,
     bayes_criterion,
     get_model,
     gram_determinant,
@@ -183,12 +185,16 @@ class TestQEfficiency:
                 rtol=1e-10,
             )
 
-    def test_needs_local_solver_without_oracle(self):
-        with pytest.raises(ValueError):
-            q_efficiency(EXP3, 2.0, 3.0)
+    def test_numeric_local_design_without_oracle(self):
+        # without an oracle both local designs come from the numeric solve
+        numeric = dataclasses.replace(EXP2, analytic_local=None)
+        for b, bt in ((2.0, 3.0), (5.0, 1.5)):
+            np.testing.assert_allclose(
+                q_efficiency(numeric, b, bt), q_efficiency(EXP2, b, bt),
+                rtol=0.0, atol=1e-6)
 
     def test_numeric_local_solver_accepted(self):
-        q = q_efficiency(EXP3, 2.0, 3.0, lambda m, b: local_design(m, b))
+        q = q_efficiency(EXP3, 2.0, 3.0)
         assert 0.0 < q < 1.0
 
     def test_nan_determinant_raises(self):
@@ -209,6 +215,13 @@ class TestQEfficiency:
         with pytest.raises(ArithmeticError):
             bayes_criterion(DesignMeasure.point_mass(0.5), model,
                             ParameterPrior.uniform(1.0, 3.0))
+
+    def test_nan_determinant_raises_in_the_a_criterion(self):
+        # bayes_a_criterion tests singularity with det_info as well
+        with pytest.raises(ArithmeticError):
+            bayes_a_criterion(DesignMeasure.point_mass(0.5),
+                              _nan_at_half_model(),
+                              ParameterPrior.uniform(1.0, 3.0))
 
     def test_decay_envelope_on_log_grid(self):
         # Q <= e^2 e^(-2 |log b - log bt|) over a wide log grid

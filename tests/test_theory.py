@@ -21,7 +21,6 @@ from optdesign import (
     construct_lower_bound_design,
     gram_determinant,
     growth_study,
-    local_design,
     q_efficiency,
     verify_lower_bounds,
 )
@@ -113,7 +112,7 @@ class TestStackedEfficiency:
     ], ids=["exp1", "exp2", "logistic", "exp3"])
     def test_pairwise_q_equals_q_efficiency(self, model, betas):
         want = np.array([
-            [q_efficiency(model, float(b), float(bt), local_design)
+            [q_efficiency(model, float(b), float(bt))
              for bt in betas]
             for b in betas
         ])
