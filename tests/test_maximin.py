@@ -172,7 +172,7 @@ class TestSolveMaximin:
     # path, on the same grids.
     @pytest.mark.parametrize("B, count, points, want", [
         (3.484026254796982, 20, 3, 0.7141730066604756),
-        (3.0, 20, 3, 0.74405195592452),  # the seed fails; Kelley runs
+        (3.0, 20, 3, 0.74405195592452),  # 1 BLAS thread: Kelley runs
         (20.0, 60, 5, 0.5710964529080454),
         (50.0, 100, 6, 0.5383810156276221),
     ])
@@ -230,7 +230,14 @@ class TestKelley:
 
 
 class TestFallbackLog:
-    def test_fallback_emits_one_debug_record(self, caplog):
+    # On EXP2 [1, 3]x20 the seed's polish settles in a 2-point basin with
+    # max derivative 2.00312 and refine keeps re-inserting x = 0.5035, which
+    # the polish merges back.  Whether rounding noise then lets a later
+    # round find x = 1 depends on the BLAS thread count, so the fallback
+    # tests cap refine at one round: the seed certificate fails on every
+    # build and the fallback always runs.
+    def test_fallback_emits_one_debug_record(self, caplog, monkeypatch):
+        monkeypatch.setattr("optdesign.local._EXCHANGE_ROUNDS", 1)
         caplog.set_level(logging.DEBUG, logger="optdesign")
         solve_maximin(EXP2, BetaGrid(1.0, 3.0, 20))
         records = [r for r in caplog.records if r.name.startswith("optdesign")]
@@ -245,7 +252,8 @@ class TestFallbackLog:
         assert not [r for r in caplog.records if r.name.startswith("optdesign")]
 
     def test_silent_by_default(self):
-        code = ("import logging, optdesign as od; "
+        code = ("import logging, optdesign as od, optdesign.local; "
+                "od.local._EXCHANGE_ROUNDS = 1; "
                 "logging.getLogger('optdesign').setLevel(logging.DEBUG); "
                 "od.solve_maximin(od.EXP2, od.BetaGrid(1.0, 3.0, 20))")
         env = dict(os.environ)
