@@ -3,8 +3,10 @@
 The criterion is the prior average of log det M(xi, beta); its standardized
 form subtracts the local optimum's log-determinant at each node, which
 shifts the criterion by a design-independent constant.  Optimization runs
-the grid engine of :mod:`optdesign.local` with node-averaged directional
-derivatives; under a point-mass prior it is the local solver.
+the cutting-plane grid solve of :mod:`optdesign.local` on the node average,
+one cut per round from the node-averaged directional derivative, then the
+shared polish-certify-exchange loop; under a point-mass prior it is the
+local solver.
 """
 
 from __future__ import annotations

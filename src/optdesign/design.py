@@ -252,13 +252,16 @@ def det_via_cauchy_binet(design: DesignMeasure, model, beta: float) -> float:
 
 
 def canonical_merge(
-    design: DesignMeasure, merge_radius: float, weight_floor: float
+    design: DesignMeasure, merge_radius: float, weight_floor: float,
+    fixed=(),
 ) -> DesignMeasure:
     """Merge nearby support points and drop negligible weights.
 
     Points whose sorted gaps are within ``merge_radius`` are clustered and
     replaced by their weight-averaged location; clusters below
-    ``weight_floor`` are dropped and the rest renormalized.
+    ``weight_floor`` are dropped and the rest renormalized.  A point of
+    ``fixed`` is never moved: only copies of it merge into it, and it
+    joins no cluster of other points.
     """
     if merge_radius < 0.0 or weight_floor < 0.0:
         raise ValueError("merge_radius and weight_floor must be nonnegative")
@@ -268,8 +271,14 @@ def canonical_merge(
 
     merged_pts: list[float] = []
     merged_wts: list[float] = []
+    pinned = False  # the last cluster sits on a fixed point
     for x, w in zip(pts, wts):
-        if merged_pts and x - merged_pts[-1] <= merge_radius:
+        pin = x in fixed
+        if merged_pts and (pin or pinned) and x == merged_pts[-1]:
+            merged_wts[-1] += w
+            pinned = True
+        elif (merged_pts and not (pin or pinned)
+              and x - merged_pts[-1] <= merge_radius):
             tw = merged_wts[-1] + w
             if tw > 0.0:
                 merged_pts[-1] = (merged_pts[-1] * merged_wts[-1] + x * w) / tw
@@ -277,6 +286,7 @@ def canonical_merge(
         else:
             merged_pts.append(float(x))
             merged_wts.append(float(w))
+            pinned = pin
 
     keep = [(x, w) for x, w in zip(merged_pts, merged_wts) if w >= weight_floor]
     if not keep:
@@ -288,6 +298,7 @@ def canonical_merge(
 
 
 def default_merge(design: DesignMeasure, model) -> DesignMeasure:
-    """canonical_merge with the reporting defaults tied to the model interval."""
+    """canonical_merge with the reporting defaults tied to the model interval;
+    the model's fixed support points stay where they are."""
     lo, hi = model.design_interval
-    return canonical_merge(design, 1e-3 * (hi - lo), 1e-3)
+    return canonical_merge(design, 1e-3 * (hi - lo), 1e-3, model.fixed_support)

@@ -1,13 +1,12 @@
 """Local D-optimal designs on a discretized interval, with certification.
 
-The optimizer combines multiplicative weight updates w <- w * d/m with
-occasional vertex-exchange steps toward the maximizer of the directional
-derivative.  The same engine drives the Bayesian and maximin solvers: it
-maximizes any weighted average of log-determinants over probability vectors
-on the grid.  A local design is the Bayes design of a point-mass prior, so
-:func:`solve_local` runs the Bayes solve.  All three criteria are a
-:class:`Criterion` and share one equivalence audit, :func:`certify`, and one
-polish-certify-exchange loop, :func:`refine`.
+The grid solver, :func:`maximize_weighted_logdet`, runs Kelley's cutting
+planes on the design weights of the grid.  It maximizes the mean or the
+minimum of log-determinants over probability vectors; the Bayesian solver
+and the maximin fallback share it.  A local design is the Bayes design of a
+point-mass prior, so :func:`solve_local` runs the Bayes solve.  All three
+criteria are a :class:`Criterion` and share one equivalence audit,
+:func:`certify`, and one polish-certify-exchange loop, :func:`refine`.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .models import Model
 
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
-_VERTEX_EVERY = 5  # engine phase 1: every 5th step is a vertex exchange
-_SUPPORT_EPS = 1e-10  # engine phase 2: support = weights above eps * max
+_KELLEY_TOL = 1e-9  # cutting planes: relative gap between the bounds
+_KELLEY_ROUNDS = 60  # cutting planes: round cap (EXP3 maximin takes 39)
 _NEWTON_ITERS = 60  # Newton steps of the weight solve on a fixed support
 _EXCHANGE_ROUNDS = 8  # refine: polish-certify-exchange rounds
 _EXCHANGE_WEIGHT = 0.03  # refine: weight of an inserted audit point
@@ -74,6 +73,9 @@ class EquivalenceCertificate:
     worst_point: float
     passed: bool
     least_favorable_weights: Optional[dict] = None
+    # audit points at the local maxima of the derivative above the bound,
+    # largest first: the exchange candidates of refine (not serialized)
+    peaks: tuple = ()
 
     def to_dict(self) -> dict:
         d = {
@@ -201,134 +203,77 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
 
 def maximize_weighted_logdet(
     Fs: np.ndarray,
-    q: np.ndarray,
+    q: Optional[np.ndarray],
     w0: np.ndarray,
     m: int,
-    tol: float = 1e-9,
-    max_iter: int = 2000,
+    tol: float = _KELLEY_TOL,
+    offsets=0.0,
 ):
-    """Maximize sum_j q_j log det M_j(w) over the probability simplex.
+    """Kelley's cutting planes (Kelley 1960; Pronzato & Pazman 2013, ch. 9)
+    for the grid problem: maximize the aggregate Phi(w) of g_j(w) = log det
+    M_j(w) - offsets_j over the probability simplex, Phi = q @ g (mean) or,
+    for q None, min_j g_j (standardized maximin).
 
-    Multiplicative updates and vertex-exchange steps locate the support;
-    exact Newton solves on the support finish to the equivalence tolerance.
-    The first phase takes at most max_iter steps.  Every M_j(w) and the
-    weighted derivative D = sum_j q_j d_j come from one moment matrix (one
-    GEMV each), and the M of the accepted iterate is carried to the next
-    step.  Returns (w, max_dirderiv, criterion_history): max_dirderiv is
-    the largest D at the returned w, and the criterion history is
-    nondecreasing.
+    Each round evaluates g at the query point w_k.  A singular query point
+    (an LP vertex on < m points, whose rounded det may read > 0) moves to
+    its midpoint with the incumbent w*, where M >= M(w*)/2 > 0; w0 must be
+    nonsingular.  The round then adds the tangent planes of the concave
+    aggregate at w_k on the simplex (sum_i w_k,i d_j(x_i) = m, sum_i w_i =
+    1): for the mean one cut sum_i w_i (Phi(w_k) + D(x_i) - m), where D =
+    sum_j q_j d_j; for the min one cut per node, sum_i w_i (g_j(w_k) +
+    d_j(x_i) - m).  The next query point solves the cut game, warm-started
+    from the previous game's support rows and binding cuts.  Its value
+    bounds the optimum from above and the best Phi seen from below; the loop
+    stops when the gap is at most tol * max(1, |Phi(w*)|), or after
+    _KELLEY_ROUNDS rounds.  For the mean, every M_j(w) and D come from one
+    moment matrix, one GEMV each.
+
+    Returns (w*, maxd, history): maxd is the largest aggregated derivative
+    at w* (for the min, over the nodes and the grid points), and history
+    holds one (incumbent, game value) pair per round.
     """
-    n = Fs.shape[1]
-    A = moment_matrix(Fs)
+    A = None if q is None else moment_matrix(Fs)
 
-    w = np.array(w0, dtype=float)
-    w = np.clip(w, 0.0, None)
-    w /= w.sum()
+    def evaluate(w):
+        Ms = info_stack(Fs, w) if A is None else moment_info(A, w, m)
+        return Ms, logdet_stack(Ms) - offsets
 
+    w = np.clip(np.asarray(w0, dtype=float), 0.0, None)
+    w = best_w = w / w.sum()
+    lower, upper, maxd = -math.inf, math.inf, math.nan
+    # negated cuts: the game of _least_favorable_lp minimizes its largest entry
+    cuts = np.empty((0, Fs.shape[1]))
+    rows = cols = None
     history = []
-    Ms = moment_info(A, w, m)
-    c = _weighted_logdet(q, Ms)
-    if c == NEG_INF:
-        raise InfeasibleGridError("initial weights give a singular matrix")
-    history.append(c)
-
-    # phase 1: multiplicative + vertex exchange until roughly converged
-    rough_tol = max(tol, 1e-4)
-    for it in range(max_iter):
-        D = moment_derivative(A, q, Ms)  # (n,)
-        maxd = float(D.max())
-        if maxd <= m * (1.0 + rough_tol):
-            break
-        if (it + 1) % _VERTEX_EVERY == 0 and maxd > m:
-            # Fedorov-style step toward the best point, with backtracking
-            k = int(np.argmax(D))  # ties: lowest x wins (grid is sorted)
-            alpha = (maxd / m - 1.0) / (maxd - 1.0) if maxd > 1.0 else 0.5
-            alpha = min(max(alpha, 1e-8), 0.9)
-            accepted = False
-            for _ in range(20):
-                wc = (1.0 - alpha) * w
-                wc[k] += alpha
-                Mc = moment_info(A, wc, m)
-                cc = _weighted_logdet(q, Mc)
-                if cc >= c:
-                    w, Ms, c = wc, Mc, cc
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if accepted:
-                history.append(c)
-                continue
-        w = w * D / m
-        s = w.sum()
-        if not np.isfinite(s) or s <= 0:
-            raise InfeasibleGridError("weight update collapsed")
-        w /= s
-        Ms = moment_info(A, w, m)
-        c = _weighted_logdet(q, Ms)
-        history.append(c)
-
-    # phase 2: cluster collapse + restricted Newton + exchange
-    for _ in range(60):
-        D = moment_derivative(A, q, Ms)
-        maxd = float(D.max())
-        if maxd <= m * (1.0 + tol):
-            break
-
-        # collapse each run of adjacent support indices onto its best point
-        sup = np.flatnonzero(w > _SUPPORT_EPS * w.max())
-        reps, repw = [], []
-        run = [sup[0]]
-        for i in sup[1:]:
-            if i == run[-1] + 1:
-                run.append(i)
-            else:
-                r = run[int(np.argmax(D[run]))]
-                reps.append(r)
-                repw.append(w[run].sum())
-                run = [i]
-        r = run[int(np.argmax(D[run]))]
-        reps.append(r)
-        repw.append(w[run].sum())
-        if len(reps) > 40:  # defensive cap; true supports here are tiny
-            order = np.argsort(repw)[::-1][:40]
-            reps = [reps[i] for i in order]
-            repw = [repw[i] for i in order]
-        k = int(np.argmax(D))
-        if k not in reps:
-            reps.append(k)
-            repw.append(0.0)
-        reps = np.asarray(reps)
-        repw = np.asarray(repw, dtype=float)
-        repw = np.clip(repw, 1e-12, None)
-        repw /= repw.sum()
-
-        wS, cS = _newton_weights(Fs[:, reps, :], q, repw, m)
-        if cS >= c:
-            w = np.zeros(n)
-            w[reps] = wS
-            Ms, c = moment_info(A, w, m), cS
-            history.append(c)
+    for _ in range(_KELLEY_ROUNDS):
+        Ms, g = evaluate(w)
+        if np.count_nonzero(w) < m or not np.all(np.isfinite(g)):
+            if not history:
+                raise InfeasibleGridError("initial weights give a singular matrix")
+            w = 0.5 * (w + best_w)
+            Ms, g = evaluate(w)
+        if q is None:
+            phi, d = float(g.min()), dirderiv_stack(Fs, Ms)
+            new = m - g[:, None] - d
         else:
-            # collapse lost ground: fall back to a plain exchange step
-            alpha = (maxd / m - 1.0) / (maxd - 1.0) if maxd > 1.0 else 0.5
-            alpha = min(max(alpha, 1e-10), 0.9)
-            for _ in range(30):
-                wc = (1.0 - alpha) * w
-                wc[k] += alpha
-                Mc = moment_info(A, wc, m)
-                cc = _weighted_logdet(q, Mc)
-                if cc >= c:
-                    w, Ms, c = wc, Mc, cc
-                    history.append(c)
-                    break
-                alpha *= 0.5
-            else:
-                break  # no improving step left at this resolution
-
-    w[w < 1e-15] = 0.0
-    w /= w.sum()
-    maxd = float(moment_derivative(A, q, moment_info(A, w, m)).max())
-    return w, maxd, history
+            phi, d = float(q @ g), moment_derivative(A, q, Ms)
+            new = (m - phi - d)[None]
+        if phi > lower:
+            lower, best_w, maxd = phi, w, float(d.max())
+        cuts = np.concatenate((cuts, new))
+        if rows is not None:
+            cols = np.r_[cols, len(cuts) - len(new):len(cuts)]
+        w = _least_favorable_lp(cuts.T, rows, cols)
+        vals = cuts @ w
+        # the true game values never increase and never fall below lower
+        upper = min(upper, max(lower, -float(vals.max())))
+        history.append((lower, upper))
+        slack = tol * max(1.0, abs(lower))
+        if upper - lower <= slack:
+            break
+        rows = np.flatnonzero(w)
+        cols = np.flatnonzero(vals >= vals.max() - slack)
+    return best_w, maxd, history
 
 
 def transfer_weights(x_old, w_old, x_new) -> np.ndarray:
@@ -456,19 +401,21 @@ def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return res.x[:A], -res.ineqlin.marginals, float(res.x[-1])
 
 
-def _least_favorable_lp(dmat: np.ndarray):
+def _least_favorable_lp(dmat: np.ndarray, rows=None, cols=None):
     """Probability vector mu over the rows of dmat minimizing the largest
     entry of mu^T dmat: a matrix game solved as a linear program.
 
     In the Wong audit the rows are the active betas and the columns the
-    audit points; the scalar maximin grid solve also uses it.
+    audit points; the scalar maximin grid solve and the cut games of
+    :func:`maximize_weighted_logdet` also use it.
 
     The optimal strategies live on a few rows and columns, so the game is
     solved by row and column generation (Kelley's cutting planes).  The
-    restricted game starts on every _GAME_STRIDE-th row and column plus the
-    last.  Each round adds every column c with (mu^T dmat)_c > t + tol and
-    every row r with (dmat p)_r < t - tol, where t is the restricted value
-    and p the restricted column mix.  Sets only grow, and at worst the loop
+    restricted game starts on the index arrays rows and cols, by default
+    every _GAME_STRIDE-th row and column plus the last.  Each round adds
+    every column c with (mu^T dmat)_c > t + tol and every row r with
+    (dmat p)_r < t - tol, where t is the restricted value and p the
+    restricted column mix.  Sets only grow, and at worst the loop
     ends on the full game, so it needs no round cap.  It stops when neither
     set grows.  The restricted LP bounds the in-set columns and rows,
     and the generation test the others, so then max(mu^T dmat) <= t + tol
@@ -481,11 +428,11 @@ def _least_favorable_lp(dmat: np.ndarray):
     if not np.all(np.isfinite(dmat)):
         raise ArithmeticError("matrix game has a non-finite payoff")
     A, n = dmat.shape
-    tol = _GAME_TOL * float(np.abs(dmat).max())
+    tol = _GAME_TOL * max(float(dmat.max()), -float(dmat.min()))  # max|dmat|
     in_rows = np.zeros(A, dtype=bool)
     in_cols = np.zeros(n, dtype=bool)
-    in_rows[::_GAME_STRIDE] = in_rows[-1] = True
-    in_cols[::_GAME_STRIDE] = in_cols[-1] = True
+    in_rows[np.r_[0:A:_GAME_STRIDE, A - 1] if rows is None else rows] = True
+    in_cols[np.r_[0:n:_GAME_STRIDE, n - 1] if cols is None else cols] = True
     while True:
         rows, cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
         mu_r, p_c, t = _restricted_game(dmat, rows, cols)
@@ -532,13 +479,17 @@ def certify(model: Model, design: DesignMeasure,
     average = float(design.weights_array() @ d[sup_idx])
     support_ok = support_ok and abs(average - model.m) <= tol * model.m
     worst = int(np.argmax(d))
+    bound = model.m * (1.0 + tol)
+    peaks = np.flatnonzero((d > bound) & (d >= np.r_[-np.inf, d[:-1]])
+                           & (d >= np.r_[d[1:], -np.inf]))
     return EquivalenceCertificate(
         max_directional_derivative=float(d[worst]),
         bound=float(model.m),
         tolerance=tol,
         worst_point=float(ax[worst]),
-        passed=bool(d[worst] <= model.m * (1.0 + tol)) and support_ok,
+        passed=bool(d[worst] <= bound) and support_ok,
         least_favorable_weights=mu,
+        peaks=tuple(ax[peaks[np.argsort(-d[peaks], kind="stable")]].tolist()),
     )
 
 
@@ -550,12 +501,18 @@ def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
     polish(model, criterion, points, weights), which returns the merged
     DesignMeasure, and certified.  While the certificate fails, its worst
     audit point joins the support (Wynn 1970) and the polish runs again, for
-    at most _EXCHANGE_ROUNDS rounds; a worst point within _EXCHANGE_NEAR of
-    the support stops the loop, since inserting it changes no structure.
-    Returns (design, certificate).
+    at most _EXCHANGE_ROUNDS rounds.  A worst point within _EXCHANGE_NEAR of
+    the support stops the loop, since inserting it changes no structure.  A
+    worst point within _EXCHANGE_NEAR of the previous round's insertion,
+    which the polish merged away, would repeat the round: the largest other
+    peak of the certificate joins instead (maximin derivatives often peak
+    at several points to 1e-9, so which peak is worst is rounding noise),
+    and the loop stops when no other peak is left.  Returns (design,
+    certificate).
     """
     design = default_merge(DesignMeasure.from_arrays(x[w > 0], w[w > 0]), model)
     pts, wts = design.points_array(), design.weights_array()
+    inserted = math.inf
     for _ in range(_EXCHANGE_ROUNDS):
         design = polish(model, criterion, pts, wts)
         cert = certify(model, design, criterion)
@@ -564,6 +521,14 @@ def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
         worst_x = cert.worst_point
         if min(abs(worst_x - p) for p in design.points) < _EXCHANGE_NEAR:
             break
+        if abs(worst_x - inserted) < _EXCHANGE_NEAR:
+            taken = design.points + (inserted,)
+            rest = [p for p in cert.peaks
+                    if min(abs(p - t) for t in taken) >= _EXCHANGE_NEAR]
+            if not rest:
+                break
+            worst_x = rest[0]
+        inserted = worst_x
         pts = np.append(design.points_array(), worst_x)
         wts = np.append(design.weights_array() * (1.0 - _EXCHANGE_WEIGHT),
                         _EXCHANGE_WEIGHT)

@@ -5,11 +5,10 @@ grid.  Stage 1 puts weights on an x-grid: for m = 1 the exact grid solution
 (a matrix game); for m > 1 a mixture of local designs.  Stages 2-3 are the
 shared :func:`local.refine`: it polishes the merged support on the continuum
 (here SLSQP in epigraph form) and inserts the worst audit point while the
-certificate fails.  If the m > 1 seed still ends uncertified, Kelley's
-cutting planes solve the grid problem exactly and stages 2-3 rerun: log det
-M is concave in the weights, so the cut game bounds the grid optimum from
-above and the best query from below, and the method stops when that gap
-closes.
+certificate fails.  If the m > 1 seed still ends uncertified, the grid
+problem is solved exactly by the cutting planes of
+:func:`local.maximize_weighted_logdet` on the min aggregate, and stages 2-3
+rerun.
 """
 
 from __future__ import annotations
@@ -23,14 +22,15 @@ from scipy.optimize import minimize
 
 from .design import DesignMeasure, canonical_merge, default_merge
 from .local import (
+    _KELLEY_TOL,
     Criterion,
     GridSpec,
     _least_favorable_lp,
     build_grid,
-    dirderiv_stack,
     info_stack,
     local_design,
     logdet_stack,
+    maximize_weighted_logdet,
     refine,
     solve_local,
     stacked_scores,
@@ -39,9 +39,6 @@ from .local import (
 from .models import Model
 
 log = logging.getLogger(__name__)
-
-_KELLEY_TOL = 1e-9  # cutting planes: relative gap between the bounds
-_KELLEY_ROUNDS = 60  # cutting planes: round cap (EXP3 from the seed takes 39)
 
 
 @dataclass(frozen=True)
@@ -131,39 +128,6 @@ def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return _least_favorable_lp(-a.T)
 
 
-def _kelley_weights(Fs: np.ndarray, offsets: np.ndarray, w0: np.ndarray, m: int):
-    """Kelley's cutting planes (Pronzato & Pazman 2013, ch. 9) for the grid
-    problem max_w min_j g_j(w), g_j = log det M_j(w) - offsets_j.
-
-    At each query point w_k node j adds the cut sum_i w_i (g_j(w_k) +
-    d_j(x_i; w_k) - m), the tangent plane of the concave g_j on the simplex
-    (sum_i w_k,i d_j(x_i) = m, sum_i w_i = 1).  The next query point solves
-    the cut game, whose value bounds the optimum from above; the best min_j
-    g_j seen bounds it from below.  A singular query point (an LP vertex on
-    < m points, whose rounded det may read > 0) moves to its midpoint with
-    the incumbent w*, where M >= M(w*)/2 > 0; w0 must be nonsingular.
-    Returns (w*, lower, upper, rounds, stop), stop "gap" or "round cap"."""
-    w = best_w = w0
-    lower, cuts = -math.inf, []
-    for rounds in range(1, _KELLEY_ROUNDS + 1):
-        Ms = info_stack(Fs, w)
-        g = logdet_stack(Ms) - offsets
-        if np.count_nonzero(w) < m or not np.all(np.isfinite(g)):
-            w = 0.5 * (w + best_w)
-            Ms = info_stack(Fs, w)
-            g = logdet_stack(Ms) - offsets
-        if g.min() > lower:
-            lower, best_w = float(g.min()), w
-        # negated: the game of _least_favorable_lp minimizes its largest entry
-        cuts.append(m - g[:, None] - dirderiv_stack(Fs, Ms))
-        neg = np.concatenate(cuts)
-        w = _least_favorable_lp(neg.T)
-        upper = -float(np.max(neg @ w))
-        if upper - lower <= _KELLEY_TOL * max(1.0, abs(lower)):
-            return best_w, lower, upper, rounds, "gap"
-    return best_w, lower, upper, rounds, "round cap"
-
-
 def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
     """Standardized maximin D-optimal design with a least-favorable certificate."""
     betas = grid.values
@@ -181,10 +145,13 @@ def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
     if cert.passed:
         return design, cert
     # the seed's basin fails: solve the grid problem exactly and restart
-    w, lower, upper, rounds, stop = _kelley_weights(Fs, crit.offsets, w0, model.m)
+    w, _, history = maximize_weighted_logdet(Fs, None, w0, model.m,
+                                             offsets=crit.offsets)
+    lower, upper = history[-1]
+    gap_closed = upper - lower <= _KELLEY_TOL * max(1.0, abs(lower))
     log.debug("maximin %s on %d parameter values: seed certificate failed "
               "(max derivative %.9g, bound %g); Kelley fallback ran %d "
               "rounds, gap %.3g, stopped on the %s", model.name, len(betas),
-              cert.max_directional_derivative, cert.bound, rounds,
-              upper - lower, stop)
+              cert.max_directional_derivative, cert.bound, len(history),
+              upper - lower, "gap" if gap_closed else "round cap")
     return refine(model, crit, x, w, _polish_minimax)

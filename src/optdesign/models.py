@@ -202,10 +202,6 @@ def get_model(name: str) -> Model:
         raise KeyError(f"unknown model {name!r}; choose from {sorted(_BUILTINS)}")
 
 
-class SingularNumeratorWarning(UserWarning):
-    pass
-
-
 def q_efficiency(model: Model, beta: float, beta_tilde: float) -> float:
     """Information loss Q = det M(xi[beta_tilde], beta) / det M(xi[beta], beta).
 

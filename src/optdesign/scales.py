@@ -28,9 +28,6 @@ class ScaleFunction:
             np.shape(beta)
         )
 
-    def distance(self, b1: float, b2: float) -> float:
-        return abs(self._ell(float(b1)) - self._ell(float(b2)))
-
     def span(self, beta_min: float, beta_max: float) -> float:
         return self._ell(float(beta_max)) - self._ell(float(beta_min))
 

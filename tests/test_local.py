@@ -101,6 +101,16 @@ class TestSolveLocal:
             rtol=1e-8,
         )
 
+    @pytest.mark.parametrize("beta", [130.0, 300.0, 1000.0])
+    def test_two_parameter_fast_decay_sits_on_the_analytic_support(self, beta):
+        # the grid solve puts weight on 0 itself, not on a far-tail point
+        # whose score equals f(0) in double precision
+        design, _ = solve_local(EXP2, beta)
+        oracle = EXP2.analytic_local(beta)
+        assert design.n == oracle.n
+        np.testing.assert_allclose(design.points_array(),
+                                   oracle.points_array(), rtol=0.0, atol=1e-6)
+
     @pytest.mark.parametrize("beta", [1.0, 2.0, 5.0, 10.0, 25.0])
     def test_logistic_matches_oracle(self, beta):
         design, cert = solve_local(LOGISTIC, beta)
@@ -232,6 +242,9 @@ class TestMomentMatrixEngine:
         want = (q @ dirderiv_stack(Fs, info_stack(Fs, w))).max()
         np.testing.assert_allclose(maxd, want, rtol=1e-12)
         assert np.all(np.diff(history) >= 0.0)
+        incumbents, game_values = np.array(history).T
+        assert np.all(np.diff(incumbents) >= 0.0)
+        assert np.all(np.diff(game_values) <= 0.0)
 
 
 class TestCriterionDeterminant:

@@ -22,6 +22,7 @@ from optdesign import (
     support_count,
 )
 from optdesign.local import (
+    _KELLEY_TOL,
     Criterion,
     GridSpec,
     _least_favorable_lp,
@@ -30,13 +31,10 @@ from optdesign.local import (
     info_stack,
     local_design,
     logdet_stack,
+    maximize_weighted_logdet,
     stacked_scores,
 )
-from optdesign.maximin import (
-    _KELLEY_TOL,
-    _kelley_weights,
-    _seed_mixture_weights,
-)
+from optdesign.maximin import _seed_mixture_weights
 from optdesign.models import q_exp1_closed
 
 
@@ -172,7 +170,7 @@ class TestSolveMaximin:
     # path, on the same grids.
     @pytest.mark.parametrize("B, count, points, want", [
         (3.484026254796982, 20, 3, 0.7141730066604756),
-        (3.0, 20, 3, 0.74405195592452),  # 1 BLAS thread: Kelley runs
+        (3.0, 20, 3, 0.74405195592452),
         (20.0, 60, 5, 0.5710964529080454),
         (50.0, 100, 6, 0.5383810156276221),
     ])
@@ -201,8 +199,9 @@ def _worst_log_efficiency(Fs, offsets, w):
 class TestKelley:
     def test_bounds_bracket_grid_designs(self):
         Fs, offsets, w0 = _grid_problem(EXP2, 3.484026254796982)
-        w, lower, upper, rounds, stop = _kelley_weights(Fs, offsets, w0, EXP2.m)
-        assert stop == "gap"
+        w, _, history = maximize_weighted_logdet(Fs, None, w0, EXP2.m,
+                                                 offsets=offsets)
+        lower, upper = history[-1]
         assert upper - lower <= _KELLEY_TOL * max(1.0, abs(lower))
         assert lower == _worst_log_efficiency(Fs, offsets, w)
         rng = np.random.default_rng(0)
@@ -223,19 +222,20 @@ class TestKelley:
         g = logdet_stack(Ms) - offsets
         cuts = g[:, None] + dirderiv_stack(Fs, Ms) - EXP3.m
         assert np.count_nonzero(_least_favorable_lp(-cuts.T)) < EXP3.m
-        w, lower, upper, rounds, stop = _kelley_weights(Fs, offsets, w0, EXP3.m)
-        assert stop == "gap"
+        w, _, history = maximize_weighted_logdet(Fs, None, w0, EXP3.m,
+                                                 offsets=offsets)
+        lower, upper = history[-1]
+        assert upper - lower <= _KELLEY_TOL * max(1.0, abs(lower))
         assert np.isfinite(lower) and np.isfinite(upper)
         assert lower >= _worst_log_efficiency(Fs, offsets, w0)
 
 
 class TestFallbackLog:
     # On EXP2 [1, 3]x20 the seed's polish settles in a 2-point basin with
-    # max derivative 2.00312 and refine keeps re-inserting x = 0.5035, which
-    # the polish merges back.  Whether rounding noise then lets a later
-    # round find x = 1 depends on the BLAS thread count, so the fallback
-    # tests cap refine at one round: the seed certificate fails on every
-    # build and the fallback always runs.
+    # max derivative 2.00312.  The first round inserts x = 0.5035, which
+    # the polish merges back; the second inserts the other peak, x = 1, and
+    # the seed certifies.  The fallback tests cap refine at one round, so
+    # that the seed certificate fails and the fallback runs.
     def test_fallback_emits_one_debug_record(self, caplog, monkeypatch):
         monkeypatch.setattr("optdesign.local._EXCHANGE_ROUNDS", 1)
         caplog.set_level(logging.DEBUG, logger="optdesign")
@@ -245,6 +245,15 @@ class TestFallbackLog:
         msg = records[0].getMessage()
         assert "max derivative 2.00312" in msg
         assert "Kelley fallback ran" in msg and "stopped on the gap" in msg
+
+    @pytest.mark.parametrize("B", [3.0, 3.484026254796982])
+    def test_merged_insertion_gives_way_to_the_next_peak(self, caplog, B):
+        # the derivative peaks at the merged-away insertion and at x = 1 to
+        # 1e-9; refine inserts x = 1 next, and the seed certifies
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        design, cert = solve_maximin(EXP2, BetaGrid(1.0, B, 20))
+        assert cert.passed and max(design.points) == pytest.approx(1.0, abs=1e-9)
+        assert not [r for r in caplog.records if r.name.startswith("optdesign")]
 
     def test_seeded_solve_logs_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="optdesign")
