@@ -1,12 +1,9 @@
 """Bayesian D-optimal design: priors, quadrature, criterion and solver.
 
 The criterion is the prior average of log det M(xi, beta); its standardized
-form subtracts the local optimum's log-determinant at each node, which
-shifts the criterion by a design-independent constant.  Optimization runs
-the cutting-plane grid solve of :mod:`optdesign.local` on the node average,
-one cut per round from the node-averaged directional derivative, then the
-shared polish-certify-exchange loop; under a point-mass prior it is the
-local solver.
+form subtracts each node's local optimum, a design-independent constant.
+The solver is :func:`local.solve_from_seed`, seeded with the mixture of
+local designs; a point-mass prior gives the local solver.
 """
 
 from __future__ import annotations
@@ -28,12 +25,14 @@ from .local import (
     Criterion,
     GridSpec,
     _newton_weights,
+    _seed_mixture_weights,
     build_grid,
     info_stack,
     local_offsets,
     logdet_stack,
     maximize_weighted_logdet,
     refine,
+    solve_from_seed,
     stacked_scores,
 )
 from .models import Model
@@ -224,33 +223,36 @@ def _polish_bayes(model: Model, crit: Criterion, points, weights):
 def solve_bayes(
     model: Model, prior: ParameterPrior, grid: GridSpec = GridSpec()
 ):
-    """Bayesian D-optimal design: grid phase, then :func:`local.refine`.
-
-    The grid solve locates the support structure; refine frees the support
-    locations and inserts the worst audit point whenever the
-    averaged-derivative certificate fails.  A point-mass prior gives the
-    local design: this is also :func:`local.solve_local`.
+    """Bayesian D-optimal design by :func:`local.solve_from_seed`, seeded
+    with the mixture of local designs between the prior's extreme nodes:
+    the grid points carrying at least half a uniform weight, with weights
+    from the cutting planes on those points alone.  Without analytic local
+    designs, or with a node <= 0, refine starts from the solve on the whole
+    grid.  A point-mass prior gives the local design (:func:`solve_local`).
     """
     crit = prior_criterion(model, prior)
     nodes, qw = crit.betas, crit.q
-    seeds = [
-        model.analytic_local(float(b)) if model.analytic_local else None
-        for b in (nodes[0], nodes[-1])
-    ]
+    ends = nodes[[0, -1]]
     extra = list(model.fixed_support)
-    for s in seeds:
-        if s is not None:
-            extra.extend(s.points)
+    if model.analytic_local is not None:
+        for b in ends:
+            extra.extend(model.analytic_local(float(b)).points)
     x = build_grid(model.design_interval, grid, extra_points=extra)
-    w = np.full(len(x), 1.0 / len(x))
-    w, _, _ = maximize_weighted_logdet(
-        Fs=stacked_scores(model, x, nodes),
-        q=qw,
-        w0=w,
-        m=model.m,
-        tol=1e-7,
-    )
-    return refine(model, crit, x, w, _polish_bayes)
+
+    def weights(keep, w0):
+        return maximize_weighted_logdet(stacked_scores(model, x[keep], nodes),
+                                        qw, w0, model.m, tol=1e-7)
+
+    def grid_solve():
+        return weights(slice(None), np.full(len(x), 1.0 / len(x)))
+
+    if model.analytic_local is None or ends[0] <= 0.0:
+        return refine(model, crit, x, grid_solve()[0], _polish_bayes)
+    w = _seed_mixture_weights(model, ends, x)
+    keep = w >= 0.5 / len(x)
+    seed = np.zeros(len(x))
+    seed[keep] = weights(keep, w[keep])[0]
+    return solve_from_seed(model, crit, _polish_bayes, x, seed, grid_solve)
 
 
 def bayes_a_criterion(

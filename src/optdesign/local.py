@@ -1,17 +1,17 @@
-"""Local D-optimal designs on a discretized interval, with certification.
+"""Local D-optimal designs, the one solve path, and its certificate.
 
-The grid solver, :func:`maximize_weighted_logdet`, runs Kelley's cutting
-planes on the design weights of the grid.  It maximizes the mean or the
-minimum of log-determinants over probability vectors; the Bayesian solver
-and the maximin fallback share it.  A local design is the Bayes design of a
-point-mass prior, so :func:`solve_local` runs the Bayes solve.  All three
-criteria are a :class:`Criterion` and share one equivalence audit,
-:func:`certify`, and one polish-certify-exchange loop, :func:`refine`.
+Every criterion is a :class:`Criterion`, solved by :func:`solve_from_seed`:
+weights on an x-grid seed :func:`refine`, the polish-certify-exchange loop
+audited by :func:`certify`; only a failed certificate runs the grid solver,
+:func:`maximize_weighted_logdet` (Kelley's cutting planes on the mean or
+the minimum of log-determinants), and refine again.  A local design is the
+Bayes design of a point-mass prior: :func:`solve_local` runs that solve.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -27,6 +27,8 @@ from .design import (
     stacked_scores,
 )
 from .models import Model
+
+log = logging.getLogger(__name__)
 
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
@@ -276,14 +278,20 @@ def maximize_weighted_logdet(
     return best_w, maxd, history
 
 
-def transfer_weights(x_old, w_old, x_new) -> np.ndarray:
-    """Map weights onto the nearest points of a new grid."""
-    w = np.zeros(len(x_new))
-    idx = np.clip(np.searchsorted(x_new, x_old), 0, len(x_new) - 1)
-    left = np.clip(idx - 1, 0, len(x_new) - 1)
-    use_left = np.abs(x_new[left] - x_old) < np.abs(x_new[idx] - x_old)
-    idx = np.where(use_left, left, idx)
-    np.add.at(w, idx, w_old)
+def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
+    """Mixture of local designs at log-equispaced parameters, mapped to the grid."""
+    span = math.log(betas[-1] / betas[0])
+    n = max(int(math.ceil(span / (2.0 * math.log(2.0)))), 1)
+    w = np.full(len(x), 0.1 / len(x))
+    for k in range(1, n + 1):
+        b = betas[0] * math.exp((2 * k - 1) * span / (2 * n))
+        d = local_design(model, float(b))
+        p = d.points_array()
+        right = np.clip(np.searchsorted(x, p), 0, len(x) - 1)
+        left = np.clip(right - 1, 0, len(x) - 1)
+        idx = np.where(np.abs(x[left] - p) < np.abs(x[right] - p), left, right)
+        wk = np.bincount(idx, d.weights_array(), len(x))
+        w += 0.9 / n * wk / wk.sum()
     return w / w.sum()
 
 
@@ -533,6 +541,27 @@ def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
         wts = np.append(design.weights_array() * (1.0 - _EXCHANGE_WEIGHT),
                         _EXCHANGE_WEIGHT)
     return design, cert
+
+
+def solve_from_seed(model: Model, criterion: Criterion, polish, x, seed,
+                    grid_solve) -> tuple:
+    """Refine from the seed weights on the grid x; only if that certificate
+    fails, grid_solve() runs the cutting planes of
+    :func:`maximize_weighted_logdet`, one DEBUG record reports it, and
+    refine runs again from their weights."""
+    design, cert = refine(model, criterion, x, seed, polish)
+    if cert.passed:
+        return design, cert
+    w, _, history = grid_solve()
+    lower, upper = history[-1]
+    log.debug("%s %s on %d parameter values: seed certificate failed "
+              "(max derivative %.9g, bound %g); Kelley fallback ran %d "
+              "rounds, gap %.3g, stopped on the %s",
+              "bayes" if criterion.q is not None else "maximin", model.name,
+              len(criterion.betas), cert.max_directional_derivative,
+              cert.bound, len(history), upper - lower,
+              "gap" if len(history) < _KELLEY_ROUNDS else "round cap")
+    return refine(model, criterion, x, w, polish)
 
 
 def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):

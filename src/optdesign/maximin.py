@@ -1,19 +1,13 @@
 """Standardized maximin D-optimal designs over a finite parameter grid.
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
-grid.  Stage 1 puts weights on an x-grid: for m = 1 the exact grid solution
-(a matrix game); for m > 1 a mixture of local designs.  Stages 2-3 are the
-shared :func:`local.refine`: it polishes the merged support on the continuum
-(here SLSQP in epigraph form) and inserts the worst audit point while the
-certificate fails.  If the m > 1 seed still ends uncertified, the grid
-problem is solved exactly by the cutting planes of
-:func:`local.maximize_weighted_logdet` on the min aggregate, and stages 2-3
-rerun.
+grid.  For m = 1 the grid problem is a linear program, solved exactly; for
+m > 1 :func:`local.solve_from_seed` starts from the mixture of local designs.
+Both end in :func:`local.refine`, whose polish here is SLSQP in epigraph form.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,23 +16,20 @@ from scipy.optimize import minimize
 
 from .design import DesignMeasure, canonical_merge, default_merge
 from .local import (
-    _KELLEY_TOL,
     Criterion,
     GridSpec,
     _least_favorable_lp,
+    _seed_mixture_weights,
     build_grid,
     info_stack,
-    local_design,
     logdet_stack,
     maximize_weighted_logdet,
     refine,
+    solve_from_seed,
     solve_local,
     stacked_scores,
-    transfer_weights,
 )
 from .models import Model
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -77,18 +68,6 @@ def support_count(design: DesignMeasure, interval=(0.0, 1.0)) -> int:
     """Number of support points after the canonical reporting merge."""
     lo, hi = interval
     return canonical_merge(design, 1e-3 * (hi - lo), 1e-3).n
-
-
-def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
-    """Mixture of local designs at log-equispaced parameters, mapped to the grid."""
-    span = math.log(betas[-1] / betas[0])
-    n = max(int(math.ceil(span / (2.0 * math.log(2.0)))), 1)
-    w = np.full(len(x), 0.1 / len(x))
-    for k in range(1, n + 1):
-        b = betas[0] * math.exp((2 * k - 1) * span / (2 * n))
-        d = local_design(model, float(b))
-        w += 0.9 / n * transfer_weights(d.points_array(), d.weights_array(), x)
-    return w / w.sum()
 
 
 def _polish_minimax(model: Model, crit: Criterion, points, weights):
@@ -137,21 +116,10 @@ def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
     x = build_grid(model.design_interval, xgrid,
                    extra_points=list(model.fixed_support))
     Fs = stacked_scores(model, x, betas)
-    if model.m == 1:  # stage 1, exact: the grid problem is a linear program
+    if model.m == 1:  # the grid problem is a linear program
         w = _grid_maximin_lp(Fs, crit.offsets)
         return refine(model, crit, x, w, _polish_minimax)
     w0 = _seed_mixture_weights(model, betas, x)
-    design, cert = refine(model, crit, x, w0, _polish_minimax)
-    if cert.passed:
-        return design, cert
-    # the seed's basin fails: solve the grid problem exactly and restart
-    w, _, history = maximize_weighted_logdet(Fs, None, w0, model.m,
-                                             offsets=crit.offsets)
-    lower, upper = history[-1]
-    gap_closed = upper - lower <= _KELLEY_TOL * max(1.0, abs(lower))
-    log.debug("maximin %s on %d parameter values: seed certificate failed "
-              "(max derivative %.9g, bound %g); Kelley fallback ran %d "
-              "rounds, gap %.3g, stopped on the %s", model.name, len(betas),
-              cert.max_directional_derivative, cert.bound, len(history),
-              upper - lower, "gap" if gap_closed else "round cap")
-    return refine(model, crit, x, w, _polish_minimax)
+    return solve_from_seed(
+        model, crit, _polish_minimax, x, w0, lambda: maximize_weighted_logdet(
+            Fs, None, w0, model.m, offsets=crit.offsets))

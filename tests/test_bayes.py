@@ -1,5 +1,7 @@
 """Prior-averaged criterion, quadrature rules, and the Bayesian solver."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from optdesign import (
     solve_bayes,
     solve_local,
 )
+import optdesign.bayes
 from optdesign.bayes import POS_INF
 
 
@@ -177,6 +180,57 @@ class TestSolveBayes:
         design, cert = solve_bayes(EXP2, ParameterPrior.discrete_uniform(3))
         assert cert.passed
         assert design.points[0] == pytest.approx(0.0, abs=1e-6)
+
+
+def _engine_columns(monkeypatch):
+    """Record the candidate-column count of every Bayes grid-engine call."""
+    seen = []
+    engine = optdesign.bayes.maximize_weighted_logdet
+
+    def recording(Fs, *args, **kwargs):
+        seen.append(Fs.shape[1])
+        return engine(Fs, *args, **kwargs)
+
+    monkeypatch.setattr(optdesign.bayes, "maximize_weighted_logdet", recording)
+    return seen
+
+
+class TestSeededSolve:
+    # the two anchors of the perfbench bayes workload at seed 0
+    @pytest.mark.parametrize("model, prior", [
+        (EXP2, ParameterPrior.uniform(1.0, 9.99079, 50)),
+        (EXP1, ParameterPrior.uniform(1.0, 134.238, 200)),
+    ])
+    def test_seed_certifies_on_a_few_candidates(self, model, prior, caplog,
+                                                monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        seen = _engine_columns(monkeypatch)
+        _, cert = solve_bayes(model, prior)
+        assert cert.passed
+        assert seen and max(seen) < 50
+        assert not [r for r in caplog.records if r.name.startswith("optdesign")]
+
+    def test_model_without_local_designs_solves_on_the_grid(self, monkeypatch):
+        seen = _engine_columns(monkeypatch)
+        model = dataclasses.replace(EXP1, analytic_local=None)
+        design, cert = solve_bayes(model, ParameterPrior.uniform(1.0, 50.0))
+        assert cert.passed and design.n == 2
+        assert seen == [2001]  # one engine call, on the whole grid
+
+    def test_failed_seed_emits_one_debug_record(self, caplog, monkeypatch):
+        # with refine capped at one round, the seed of logistic uniform[1, 10]
+        # fails at max derivative 1.01297 on every build; the grid solve
+        # and its refine certify
+        monkeypatch.setattr("optdesign.local._EXCHANGE_ROUNDS", 1)
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        _, cert = solve_bayes(LOGISTIC, ParameterPrior.uniform(1.0, 10.0, 50))
+        assert cert.passed
+        records = [r for r in caplog.records if r.name.startswith("optdesign")]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        msg = records[0].getMessage()
+        assert msg.startswith("bayes logistic on 50 parameter values")
+        assert "max derivative 1.01297" in msg
+        assert "Kelley fallback ran" in msg and "stopped on the gap" in msg
 
 
 class TestTraceCriterion:

@@ -120,6 +120,11 @@ class TestSolveLocal:
             det_info(design, LOGISTIC, beta), 0.25, rtol=1e-8
         )
 
+    def test_logistic_at_zero_certifies(self):
+        # a zero node has no log-spaced mixture seed: the grid path solves it
+        design, cert = solve_local(LOGISTIC, 0.0)
+        assert cert.passed and design.points == (0.0,)
+
     @pytest.mark.parametrize(
         "beta", [1.0, 3.0, 10.0, 30.0, 100.0, 160.0, 370.0, 850.0])
     def test_three_parameter_structure(self, beta):

@@ -26,6 +26,7 @@ from optdesign.local import (
     Criterion,
     GridSpec,
     _least_favorable_lp,
+    _seed_mixture_weights,
     build_grid,
     dirderiv_stack,
     info_stack,
@@ -34,7 +35,6 @@ from optdesign.local import (
     maximize_weighted_logdet,
     stacked_scores,
 )
-from optdesign.maximin import _seed_mixture_weights
 from optdesign.models import q_exp1_closed
 
 
