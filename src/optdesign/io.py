@@ -130,7 +130,7 @@ def write_plot_data(
     lo, hi = model.design_interval
     xs = np.linspace(lo, hi, count)
     curve = crit
-    if crit.aggregate == "min":
+    if crit.q is None:
         mu = certify(model, design, crit).least_favorable_weights
         curve = Criterion(np.array(list(mu)), np.array(list(mu.values())),
                           np.zeros(len(mu)))

@@ -36,8 +36,8 @@ _KELLEY_TOL = 1e-9  # cutting planes: relative gap between the bounds
 _KELLEY_ROUNDS = 60  # cutting planes: round cap (EXP3 maximin takes 39)
 _NEWTON_ITERS = 60  # Newton steps of the weight solve on a fixed support
 _EXCHANGE_ROUNDS = 8  # refine: polish-certify-exchange rounds
-_EXCHANGE_WEIGHT = 0.03  # refine: weight of an inserted audit point
-_EXCHANGE_NEAR = 1e-6  # refine: a worst point this near the support stops it
+_EXCHANGE_WEIGHT = 0.03  # refine: weight shared by the inserted audit points
+_EXCHANGE_NEAR = 1e-6  # refine: a peak this near the support is not inserted
 _GAME_STRIDE = 20  # matrix game: the first restricted game takes every 20th
 _GAME_TOL = 1e-12  # matrix game: generation tolerance, relative to max|dmat|
 # HiGHS at its tightest feasibility tolerances: at the default 1e-7 the last
@@ -75,8 +75,8 @@ class EquivalenceCertificate:
     worst_point: float
     passed: bool
     least_favorable_weights: Optional[dict] = None
-    # audit points at the local maxima of the derivative above the bound,
-    # largest first: the exchange candidates of refine (not serialized)
+    # audit points at the local maxima of the derivative above the bound:
+    # the exchange candidates of refine (not serialized)
     peaks: tuple = ()
 
     def to_dict(self) -> dict:
@@ -155,15 +155,18 @@ def _weighted_logdet(q: np.ndarray, Ms: np.ndarray) -> float:
 def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
     """Exact weight optimization on a fixed (small) support.
 
-    Equality-constrained Newton on sum_j q_j log det M_j(w), Sum w = 1,
-    with backtracking to stay strictly inside the simplex.
+    Damped equality-constrained Newton on the concave sum_j q_j log det
+    M_j(w), Sum w = 1 (Boyd & Vandenberghe 2004, sec. 9.5-9.6): the step
+    1 / (1 + lambda), lambda^2 = -delta^T H delta the Newton decrement, cut
+    to 0.9 of the way to the simplex boundary.  It stops when the KKT
+    residual max_i |d(x_i) - m| is at most 1e-12 m, or after _NEWTON_ITERS
+    steps; no criterion value is compared, so slogdet rounding never
+    rejects a step.  Returns (w, criterion at w).
     """
     s = len(wS)
-    w = np.array(wS, dtype=float)
-    w = np.clip(w, 1e-14, None)
+    w = np.clip(np.asarray(wS, dtype=float), 1e-14, None)
     w /= w.sum()
 
-    c = _weighted_logdet(q, info_stack(Fs_S, w))
     for _ in range(_NEWTON_ITERS):
         Ms = info_stack(Fs_S, w)
         try:
@@ -175,32 +178,23 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
         if np.max(np.abs(g - m)) <= 1e-12 * m:
             break
         H = -(q[:, None, None] * B * B).sum(axis=0)
-        kkt = np.zeros((s + 1, s + 1))
+        kkt = np.ones((s + 1, s + 1))
         kkt[:s, :s] = H - 1e-12 * max(1.0, float(np.abs(H).max())) * np.eye(s)
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
+        kkt[s, s] = 0.0
         rhs = np.concatenate((-g, [0.0]))
         try:
             delta = np.linalg.solve(kkt, rhs)[:s]
         except np.linalg.LinAlgError:
             break
-        step = 1.0
+        if not np.all(np.isfinite(delta)):
+            break
+        step = 1.0 / (1.0 + math.sqrt(max(-float(delta @ H @ delta), 0.0)))
         neg = delta < 0
         if neg.any():
-            step = min(1.0, 0.9 * np.min(-w[neg] / delta[neg]))
-        improved = False
-        for _ in range(40):
-            wc = w + step * delta
-            if wc.min() > 0.0:
-                cc = _weighted_logdet(q, info_stack(Fs_S, wc))
-                if cc >= c:
-                    w, c = wc / wc.sum(), cc
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            break
-    return w, c
+            step = min(step, 0.9 * np.min(-w[neg] / delta[neg]))
+        w = w + step * delta
+        w /= w.sum()
+    return w, _weighted_logdet(q, info_stack(Fs_S, w))
 
 
 def maximize_weighted_logdet(
@@ -350,15 +344,14 @@ class Criterion:
 
     The log-efficiencies log det M(xi, beta_j) - offsets_j are aggregated as
     their q-weighted mean (local: one node; Bayes: a quadrature rule) or
-    their minimum (standardized maximin over a parameter grid).  A "min"
-    criterion has no node weights (q is None): :func:`certify` solves for
-    the least-favorable ones.
+    their minimum (standardized maximin over a parameter grid).  q None
+    marks the minimum, which has no node weights: :func:`certify` solves
+    for the least-favorable ones.
     """
 
     betas: np.ndarray
     q: Optional[np.ndarray]
     offsets: np.ndarray
-    aggregate: str = "mean"  # "mean" | "min"
 
     @staticmethod
     def local(beta: float) -> "Criterion":
@@ -368,7 +361,7 @@ class Criterion:
     def maximin(model: Model, betas) -> "Criterion":
         """Worst standardized log-efficiency over the nodes."""
         betas = np.asarray(betas, dtype=float)
-        return Criterion(betas, None, local_offsets(model, betas), "min")
+        return Criterion(betas, None, local_offsets(model, betas))
 
     def log_efficiencies(self, model: Model, design: DesignMeasure) -> np.ndarray:
         """log det M(xi, beta_j) - offsets_j; NEG_INF where M is singular.
@@ -470,7 +463,7 @@ def certify(model: Model, design: DesignMeasure,
     ax = audit_grid(model.design_interval, design)
     sup_idx = np.searchsorted(ax, design.points_array())  # ax holds the points
     mu = None
-    if criterion.aggregate == "mean":
+    if criterion.q is not None:
         d = criterion.derivative(model, design, ax)
         tol, support_ok = 1e-6, True
     else:
@@ -497,7 +490,7 @@ def certify(model: Model, design: DesignMeasure,
         worst_point=float(ax[worst]),
         passed=bool(d[worst] <= bound) and support_ok,
         least_favorable_weights=mu,
-        peaks=tuple(ax[peaks[np.argsort(-d[peaks], kind="stable")]].tolist()),
+        peaks=tuple(ax[peaks].tolist()),
     )
 
 
@@ -507,39 +500,29 @@ def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
 
     The merged grid support is polished on the continuum by
     polish(model, criterion, points, weights), which returns the merged
-    DesignMeasure, and certified.  While the certificate fails, its worst
-    audit point joins the support (Wynn 1970) and the polish runs again, for
-    at most _EXCHANGE_ROUNDS rounds.  A worst point within _EXCHANGE_NEAR of
-    the support stops the loop, since inserting it changes no structure.  A
-    worst point within _EXCHANGE_NEAR of the previous round's insertion,
-    which the polish merged away, would repeat the round: the largest other
-    peak of the certificate joins instead (maximin derivatives often peak
-    at several points to 1e-9, so which peak is worst is rounding noise),
-    and the loop stops when no other peak is left.  Returns (design,
-    certificate).
+    DesignMeasure, and certified.  While the certificate fails, every peak
+    of its derivative at least _EXCHANGE_NEAR from the support joins the
+    support (Wynn 1970; Fedorov 1972), the new points sharing the weight
+    _EXCHANGE_WEIGHT equally, and the polish runs again, for at most
+    _EXCHANGE_ROUNDS rounds.  Maximin derivatives often peak at several
+    points to 1e-9, so inserting them all leaves no choice to rounding
+    noise.  The loop stops when no such peak is left, as when only the
+    support-average check fails.  Returns (design, certificate).
     """
     design = default_merge(DesignMeasure.from_arrays(x[w > 0], w[w > 0]), model)
     pts, wts = design.points_array(), design.weights_array()
-    inserted = math.inf
     for _ in range(_EXCHANGE_ROUNDS):
         design = polish(model, criterion, pts, wts)
         cert = certify(model, design, criterion)
         if cert.passed:
             break
-        worst_x = cert.worst_point
-        if min(abs(worst_x - p) for p in design.points) < _EXCHANGE_NEAR:
+        new = [p for p in cert.peaks
+               if min(abs(p - s) for s in design.points) >= _EXCHANGE_NEAR]
+        if not new:
             break
-        if abs(worst_x - inserted) < _EXCHANGE_NEAR:
-            taken = design.points + (inserted,)
-            rest = [p for p in cert.peaks
-                    if min(abs(p - t) for t in taken) >= _EXCHANGE_NEAR]
-            if not rest:
-                break
-            worst_x = rest[0]
-        inserted = worst_x
-        pts = np.append(design.points_array(), worst_x)
+        pts = np.append(design.points_array(), new)
         wts = np.append(design.weights_array() * (1.0 - _EXCHANGE_WEIGHT),
-                        _EXCHANGE_WEIGHT)
+                        np.full(len(new), _EXCHANGE_WEIGHT / len(new)))
     return design, cert
 
 
@@ -547,19 +530,22 @@ def solve_from_seed(model: Model, criterion: Criterion, polish, x, seed,
                     grid_solve) -> tuple:
     """Refine from the seed weights on the grid x; only if that certificate
     fails, grid_solve() runs the cutting planes of
-    :func:`maximize_weighted_logdet`, one DEBUG record reports it, and
-    refine runs again from their weights."""
+    :func:`maximize_weighted_logdet`, one DEBUG record reports it, naming
+    the failed check (the maximum or the support average), and refine runs
+    again from their weights."""
     design, cert = refine(model, criterion, x, seed, polish)
     if cert.passed:
         return design, cert
     w, _, history = grid_solve()
     lower, upper = history[-1]
-    log.debug("%s %s on %d parameter values: seed certificate failed "
-              "(max derivative %.9g, bound %g); Kelley fallback ran %d "
+    over = cert.max_directional_derivative > cert.bound * (1.0 + cert.tolerance)
+    log.debug("%s %s on %d parameter values: seed certificate failed on the "
+              "%s (max derivative %.9g, bound %g); Kelley fallback ran %d "
               "rounds, gap %.3g, stopped on the %s",
               "bayes" if criterion.q is not None else "maximin", model.name,
-              len(criterion.betas), cert.max_directional_derivative,
-              cert.bound, len(history), upper - lower,
+              len(criterion.betas), "maximum" if over else "support average",
+              cert.max_directional_derivative, cert.bound, len(history),
+              upper - lower,
               "gap" if len(history) < _KELLEY_ROUNDS else "round cap")
     return refine(model, criterion, x, w, polish)
 

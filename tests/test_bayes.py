@@ -19,12 +19,13 @@ from optdesign import (
     bayes_criterion,
     information_matrix,
     log_det,
+    make_logistic,
     quadrature,
     solve_bayes,
     solve_local,
 )
 import optdesign.bayes
-from optdesign.bayes import POS_INF
+from optdesign.bayes import POS_INF, prior_criterion
 
 
 class TestParameterPrior:
@@ -229,8 +230,43 @@ class TestSeededSolve:
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         msg = records[0].getMessage()
         assert msg.startswith("bayes logistic on 50 parameter values")
-        assert "max derivative 1.01297" in msg
+        assert "failed on the maximum (max derivative 1.01297" in msg
         assert "Kelley fallback ran" in msg and "stopped on the gap" in msg
+
+    def test_support_average_failure_is_named(self, caplog, monkeypatch):
+        # a certificate that fails only on the support average has no peak
+        # to insert: refine stops, and the record names that check
+        certify = optdesign.local.certify
+        monkeypatch.setattr("optdesign.local.certify", lambda *args:
+                            dataclasses.replace(certify(*args), passed=False))
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        solve_local(EXP1, 2.0)
+        records = [r for r in caplog.records if r.name.startswith("optdesign")]
+        assert len(records) == 1
+        assert "seed certificate failed on the support average" in (
+            records[0].getMessage())
+
+    def test_wide_logistic_prior_certifies_from_the_seed(self, caplog):
+        # optdesign bayes --model logistic --prior uniform:1:30: the 15-point
+        # design needs several peaks inserted per exchange round
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        _, cert = solve_bayes(make_logistic(35.0),
+                              ParameterPrior.uniform(1.0, 30.0))
+        assert cert.passed
+        assert not [r for r in caplog.records if r.name.startswith("optdesign")]
+
+
+class TestWeightSolve:
+    # B = 10 is where a Newton step accepted by comparing slogdet values
+    # stalled at a KKT residual of 7.6e-9
+    @pytest.mark.parametrize("B", [5.0, 9.99079, 10.0, 10.01, 20.0])
+    def test_polished_weights_meet_the_kkt_conditions(self, B):
+        prior = ParameterPrior.uniform(1.0, B, 50)
+        design, cert = solve_bayes(EXP2, prior)
+        d = prior_criterion(EXP2, prior).derivative(
+            EXP2, design, design.points_array())
+        assert cert.passed
+        assert np.max(np.abs(d - EXP2.m)) <= 1e-10 * EXP2.m
 
 
 class TestTraceCriterion:

@@ -1,5 +1,6 @@
 """Local D-optimal solver and its equivalence certificate."""
 
+import logging
 import math
 
 import numpy as np
@@ -221,6 +222,15 @@ class TestNewtonWeights:
         w, c = _newton_weights(Fs, np.ones(1), np.array([0.5, 0.5]), 2)
         np.testing.assert_array_equal(w, [0.5, 0.5])
         assert c == NEG_INF
+
+    # ill-conditioned local weights (condition number 1e7 at beta = 0.1034),
+    # where rounded slogdet comparisons rejected the step to the optimum
+    @pytest.mark.parametrize("beta", [0.01, 0.0118, 0.0140, 0.1034])
+    def test_exp3_small_beta_certifies_from_the_seed(self, beta, caplog):
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        _, cert = solve_local(EXP3, beta)
+        assert cert.passed
+        assert not [r for r in caplog.records if r.name.startswith("optdesign")]
 
 
 class TestMomentMatrixEngine:

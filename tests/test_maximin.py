@@ -232,10 +232,10 @@ class TestKelley:
 
 class TestFallbackLog:
     # On EXP2 [1, 3]x20 the seed's polish settles in a 2-point basin with
-    # max derivative 2.00312.  The first round inserts x = 0.5035, which
-    # the polish merges back; the second inserts the other peak, x = 1, and
-    # the seed certifies.  The fallback tests cap refine at one round, so
-    # that the seed certificate fails and the fallback runs.
+    # max derivative 2.00312, peaking at x = 0.5035 and x = 1.  The first
+    # round inserts both; the polish merges the first into the interior
+    # support point, keeps x = 1, and the seed certifies.  The fallback tests cap refine at one round,
+    # so that the seed certificate fails and the fallback runs.
     def test_fallback_emits_one_debug_record(self, caplog, monkeypatch):
         monkeypatch.setattr("optdesign.local._EXCHANGE_ROUNDS", 1)
         caplog.set_level(logging.DEBUG, logger="optdesign")
@@ -243,16 +243,25 @@ class TestFallbackLog:
         records = [r for r in caplog.records if r.name.startswith("optdesign")]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         msg = records[0].getMessage()
-        assert "max derivative 2.00312" in msg
+        assert "failed on the maximum (max derivative 2.00312" in msg
         assert "Kelley fallback ran" in msg and "stopped on the gap" in msg
 
     @pytest.mark.parametrize("B", [3.0, 3.484026254796982])
     def test_merged_insertion_gives_way_to_the_next_peak(self, caplog, B):
-        # the derivative peaks at the merged-away insertion and at x = 1 to
-        # 1e-9; refine inserts x = 1 next, and the seed certifies
+        # the derivative peaks at x = 1 and at an interior point that the
+        # polish merges into the support; refine inserts both at once, and
+        # the seed certifies
         caplog.set_level(logging.DEBUG, logger="optdesign")
         design, cert = solve_maximin(EXP2, BetaGrid(1.0, B, 20))
         assert cert.passed and max(design.points) == pytest.approx(1.0, abs=1e-9)
+        assert not [r for r in caplog.records if r.name.startswith("optdesign")]
+
+    def test_wide_two_parameter_grid_certifies_from_the_seed(self, caplog):
+        # the seed's first certificate peaks at several points; one round
+        # inserts them all, where one point per round fell back to Kelley
+        caplog.set_level(logging.DEBUG, logger="optdesign")
+        _, cert = solve_maximin(EXP2, BetaGrid(1.0, 200.0))
+        assert cert.passed
         assert not [r for r in caplog.records if r.name.startswith("optdesign")]
 
     def test_seeded_solve_logs_nothing(self, caplog):
