@@ -4,12 +4,7 @@ Computes local, Bayesian, and standardized maximin D-optimal designs on a
 compact design interval, certifies optimality via directional-derivative
 audits, and provides machine checks for the structural conditions that make
 optimal-design support grow with parameter uncertainty.
-
-Solvers log under the ``optdesign`` logger, silent unless the application
-configures logging.
 """
-
-import logging
 
 from .bayes import (
     ParameterPrior,
@@ -118,5 +113,3 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
-
-logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -2,8 +2,9 @@
 
 The criterion is the prior average of log det M(xi, beta); its standardized
 form subtracts each node's local optimum, a design-independent constant.
-The solver is :func:`local.solve_from_seed`, seeded with the mixture of
-local designs; a point-mass prior gives the local solver.
+The solver seeds :func:`local.refine` with cutting-plane weights on the
+support of the mixture of local designs; a point-mass prior gives the local
+solver.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .local import (
     logdet_stack,
     maximize_weighted_logdet,
     refine,
-    solve_from_seed,
     stacked_scores,
 )
 from .models import Model
@@ -223,12 +223,15 @@ def _polish_bayes(model: Model, crit: Criterion, points, weights):
 def solve_bayes(
     model: Model, prior: ParameterPrior, grid: GridSpec = GridSpec()
 ):
-    """Bayesian D-optimal design by :func:`local.solve_from_seed`, seeded
-    with the mixture of local designs between the prior's extreme nodes:
-    the grid points carrying at least half a uniform weight, with weights
-    from the cutting planes on those points alone.  Without analytic local
-    designs, or with a node <= 0, refine starts from the solve on the whole
-    grid.  A point-mass prior gives the local design (:func:`solve_local`).
+    """Bayesian D-optimal design: :func:`local.refine` from grid weights.
+
+    The candidates are the grid points that carry at least half a uniform
+    weight in the mixture of local designs between the prior's extreme
+    nodes, and their weights come from the cutting planes of
+    :func:`local.maximize_weighted_logdet` on those points alone.  Without
+    analytic local designs, or with a node <= 0, the cutting planes run on
+    the whole grid from uniform weights.  A point-mass prior gives the
+    local design (:func:`solve_local`).
     """
     crit = prior_criterion(model, prior)
     nodes, qw = crit.betas, crit.q
@@ -238,21 +241,16 @@ def solve_bayes(
         for b in ends:
             extra.extend(model.analytic_local(float(b)).points)
     x = build_grid(model.design_interval, grid, extra_points=extra)
-
-    def weights(keep, w0):
-        return maximize_weighted_logdet(stacked_scores(model, x[keep], nodes),
-                                        qw, w0, model.m, tol=1e-7)
-
-    def grid_solve():
-        return weights(slice(None), np.full(len(x), 1.0 / len(x)))
-
     if model.analytic_local is None or ends[0] <= 0.0:
-        return refine(model, crit, x, grid_solve()[0], _polish_bayes)
-    w = _seed_mixture_weights(model, ends, x)
-    keep = w >= 0.5 / len(x)
-    seed = np.zeros(len(x))
-    seed[keep] = weights(keep, w[keep])[0]
-    return solve_from_seed(model, crit, _polish_bayes, x, seed, grid_solve)
+        keep, w0 = slice(None), np.full(len(x), 1.0 / len(x))
+    else:
+        w0 = _seed_mixture_weights(model, ends, x)
+        keep = w0 >= 0.5 / len(x)
+        w0 = w0[keep]
+    w = np.zeros(len(x))
+    w[keep] = maximize_weighted_logdet(stacked_scores(model, x[keep], nodes),
+                                       qw, w0, model.m, tol=1e-7)[0]
+    return refine(model, crit, x, w, _polish_bayes)
 
 
 def bayes_a_criterion(

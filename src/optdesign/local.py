@@ -1,17 +1,16 @@
 """Local D-optimal designs, the one solve path, and its certificate.
 
-Every criterion is a :class:`Criterion`, solved by :func:`solve_from_seed`:
-weights on an x-grid seed :func:`refine`, the polish-certify-exchange loop
-audited by :func:`certify`; only a failed certificate runs the grid solver,
-:func:`maximize_weighted_logdet` (Kelley's cutting planes on the mean or
-the minimum of log-determinants), and refine again.  A local design is the
-Bayes design of a point-mass prior: :func:`solve_local` runs that solve.
+Every criterion is a :class:`Criterion`.  A solve puts seed weights on an
+x-grid and finishes in :func:`refine`, the polish-certify-exchange loop
+audited by :func:`certify`.  Bayes seed weights come from
+:func:`maximize_weighted_logdet`, Kelley's cutting planes on the q-weighted
+mean of log-determinants.  A local design is the Bayes design of a
+point-mass prior: :func:`solve_local` runs that solve.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,12 +27,10 @@ from .design import (
 )
 from .models import Model
 
-log = logging.getLogger(__name__)
-
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
 _KELLEY_TOL = 1e-9  # cutting planes: relative gap between the bounds
-_KELLEY_ROUNDS = 60  # cutting planes: round cap (EXP3 maximin takes 39)
+_KELLEY_ROUNDS = 60  # cutting planes: round cap (hit by 20/186 in BENCH_18)
 _NEWTON_ITERS = 60  # Newton steps of the weight solve on a fixed support
 _EXCHANGE_ROUNDS = 8  # refine: polish-certify-exchange rounds
 _EXCHANGE_WEIGHT = 0.03  # refine: weight shared by the inserted audit points
@@ -58,13 +55,10 @@ class SingularInformationError(ArithmeticError):
 @dataclass(frozen=True)
 class GridSpec:
     count: int = 2001
-    spacing: str = "uniform"  # "uniform" | "log-tilted"
 
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("grid count must be at least 2")
-        if self.spacing not in ("uniform", "log-tilted"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
 
 
 @dataclass(frozen=True)
@@ -95,14 +89,10 @@ class EquivalenceCertificate:
 
 
 def build_grid(interval, spec: GridSpec, extra_points=()) -> np.ndarray:
-    """Sorted, de-duplicated grid on the interval, plus any extra points."""
+    """Sorted, de-duplicated uniform grid on the interval, plus any extra
+    points."""
     lo, hi = interval
-    if spec.spacing == "uniform":
-        x = np.linspace(lo, hi, spec.count)
-    else:
-        # denser near the lower endpoint; used when support clusters near 0
-        t = np.geomspace(1e-7, 1.0, spec.count - 1)
-        x = np.concatenate(([lo], lo + (hi - lo) * t))
+    x = np.linspace(lo, hi, spec.count)
     if len(extra_points):
         x = np.concatenate((x, np.asarray(extra_points, dtype=float)))
         x = x[(x >= lo) & (x <= hi)]
@@ -199,40 +189,36 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
 
 def maximize_weighted_logdet(
     Fs: np.ndarray,
-    q: Optional[np.ndarray],
+    q: np.ndarray,
     w0: np.ndarray,
     m: int,
     tol: float = _KELLEY_TOL,
-    offsets=0.0,
 ):
     """Kelley's cutting planes (Kelley 1960; Pronzato & Pazman 2013, ch. 9)
-    for the grid problem: maximize the aggregate Phi(w) of g_j(w) = log det
-    M_j(w) - offsets_j over the probability simplex, Phi = q @ g (mean) or,
-    for q None, min_j g_j (standardized maximin).
+    for the grid problem: maximize the mean Phi(w) = sum_j q_j log det M_j(w)
+    over the probability simplex.
 
-    Each round evaluates g at the query point w_k.  A singular query point
+    Each round evaluates Phi at the query point w_k.  A singular query point
     (an LP vertex on < m points, whose rounded det may read > 0) moves to
     its midpoint with the incumbent w*, where M >= M(w*)/2 > 0; w0 must be
-    nonsingular.  The round then adds the tangent planes of the concave
-    aggregate at w_k on the simplex (sum_i w_k,i d_j(x_i) = m, sum_i w_i =
-    1): for the mean one cut sum_i w_i (Phi(w_k) + D(x_i) - m), where D =
-    sum_j q_j d_j; for the min one cut per node, sum_i w_i (g_j(w_k) +
-    d_j(x_i) - m).  The next query point solves the cut game, warm-started
-    from the previous game's support rows and binding cuts.  Its value
-    bounds the optimum from above and the best Phi seen from below; the loop
-    stops when the gap is at most tol * max(1, |Phi(w*)|), or after
-    _KELLEY_ROUNDS rounds.  For the mean, every M_j(w) and D come from one
-    moment matrix, one GEMV each.
+    nonsingular.  The round then adds the tangent plane of the concave Phi
+    at w_k on the simplex (sum_i w_k,i D(x_i) = m, sum_i w_i = 1), the cut
+    sum_i w_i (Phi(w_k) + D(x_i) - m), where D = sum_j q_j d_j.  The next
+    query point solves the cut game, warm-started from the previous game's
+    support rows and binding cuts.  Its value bounds the optimum from above
+    and the best Phi seen from below; the loop stops when the gap is at most
+    tol * max(1, |Phi(w*)|), or after _KELLEY_ROUNDS rounds.  Every M_j(w)
+    and D come from one moment matrix, one GEMV each.
 
-    Returns (w*, maxd, history): maxd is the largest aggregated derivative
-    at w* (for the min, over the nodes and the grid points), and history
-    holds one (incumbent, game value) pair per round.
+    Returns (w*, maxd, history): maxd is the largest of D at w* over the
+    grid points, and history holds one (incumbent, game value) pair per
+    round.
     """
-    A = None if q is None else moment_matrix(Fs)
+    A = moment_matrix(Fs)
 
     def evaluate(w):
-        Ms = info_stack(Fs, w) if A is None else moment_info(A, w, m)
-        return Ms, logdet_stack(Ms) - offsets
+        Ms = moment_info(A, w, m)
+        return Ms, logdet_stack(Ms)
 
     w = np.clip(np.asarray(w0, dtype=float), 0.0, None)
     w = best_w = w / w.sum()
@@ -248,17 +234,12 @@ def maximize_weighted_logdet(
                 raise InfeasibleGridError("initial weights give a singular matrix")
             w = 0.5 * (w + best_w)
             Ms, g = evaluate(w)
-        if q is None:
-            phi, d = float(g.min()), dirderiv_stack(Fs, Ms)
-            new = m - g[:, None] - d
-        else:
-            phi, d = float(q @ g), moment_derivative(A, q, Ms)
-            new = (m - phi - d)[None]
+        phi, d = float(q @ g), moment_derivative(A, q, Ms)
         if phi > lower:
             lower, best_w, maxd = phi, w, float(d.max())
-        cuts = np.concatenate((cuts, new))
+        cuts = np.concatenate((cuts, (m - phi - d)[None]))
         if rows is not None:
-            cols = np.r_[cols, len(cuts) - len(new):len(cuts)]
+            cols = np.r_[cols, len(cuts) - 1]
         w = _least_favorable_lp(cuts.T, rows, cols)
         vals = cuts @ w
         # the true game values never increase and never fall below lower
@@ -507,15 +488,18 @@ def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
     _EXCHANGE_ROUNDS rounds.  Maximin derivatives often peak at several
     points to 1e-9, so inserting them all leaves no choice to rounding
     noise.  The loop stops when no such peak is left, as when only the
-    support-average check fails.  Returns (design, certificate).
+    support-average check fails.  Returns (design, certificate): the first
+    round that passes, else the round with the smallest max derivative.
     """
     design = default_merge(DesignMeasure.from_arrays(x[w > 0], w[w > 0]), model)
     pts, wts = design.points_array(), design.weights_array()
+    rounds = []
     for _ in range(_EXCHANGE_ROUNDS):
         design = polish(model, criterion, pts, wts)
         cert = certify(model, design, criterion)
         if cert.passed:
-            break
+            return design, cert
+        rounds.append((design, cert))
         new = [p for p in cert.peaks
                if min(abs(p - s) for s in design.points) >= _EXCHANGE_NEAR]
         if not new:
@@ -523,31 +507,7 @@ def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
         pts = np.append(design.points_array(), new)
         wts = np.append(design.weights_array() * (1.0 - _EXCHANGE_WEIGHT),
                         np.full(len(new), _EXCHANGE_WEIGHT / len(new)))
-    return design, cert
-
-
-def solve_from_seed(model: Model, criterion: Criterion, polish, x, seed,
-                    grid_solve) -> tuple:
-    """Refine from the seed weights on the grid x; only if that certificate
-    fails, grid_solve() runs the cutting planes of
-    :func:`maximize_weighted_logdet`, one DEBUG record reports it, naming
-    the failed check (the maximum or the support average), and refine runs
-    again from their weights."""
-    design, cert = refine(model, criterion, x, seed, polish)
-    if cert.passed:
-        return design, cert
-    w, _, history = grid_solve()
-    lower, upper = history[-1]
-    over = cert.max_directional_derivative > cert.bound * (1.0 + cert.tolerance)
-    log.debug("%s %s on %d parameter values: seed certificate failed on the "
-              "%s (max derivative %.9g, bound %g); Kelley fallback ran %d "
-              "rounds, gap %.3g, stopped on the %s",
-              "bayes" if criterion.q is not None else "maximin", model.name,
-              len(criterion.betas), "maximum" if over else "support average",
-              cert.max_directional_derivative, cert.bound, len(history),
-              upper - lower,
-              "gap" if len(history) < _KELLEY_ROUNDS else "round cap")
-    return refine(model, criterion, x, w, polish)
+    return min(rounds, key=lambda r: r[1].max_directional_derivative)
 
 
 def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):

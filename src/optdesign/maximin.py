@@ -1,9 +1,9 @@
 """Standardized maximin D-optimal designs over a finite parameter grid.
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
-grid.  For m = 1 the grid problem is a linear program, solved exactly; for
-m > 1 :func:`local.solve_from_seed` starts from the mixture of local designs.
-Both end in :func:`local.refine`, whose polish here is SLSQP in epigraph form.
+grid.  The grid weights come from a linear program for m = 1, solved
+exactly, and from the mixture of local designs for m > 1.  Both end in
+:func:`local.refine`, whose polish here is SLSQP in epigraph form.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .local import (
     build_grid,
     info_stack,
     logdet_stack,
-    maximize_weighted_logdet,
     refine,
-    solve_from_seed,
     solve_local,
     stacked_scores,
 )
@@ -115,11 +113,8 @@ def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
     crit = Criterion.maximin(model, betas)
     x = build_grid(model.design_interval, xgrid,
                    extra_points=list(model.fixed_support))
-    Fs = stacked_scores(model, x, betas)
     if model.m == 1:  # the grid problem is a linear program
-        w = _grid_maximin_lp(Fs, crit.offsets)
-        return refine(model, crit, x, w, _polish_minimax)
-    w0 = _seed_mixture_weights(model, betas, x)
-    return solve_from_seed(
-        model, crit, _polish_minimax, x, w0, lambda: maximize_weighted_logdet(
-            Fs, None, w0, model.m, offsets=crit.offsets))
+        w = _grid_maximin_lp(stacked_scores(model, x, betas), crit.offsets)
+    else:
+        w = _seed_mixture_weights(model, betas, x)
+    return refine(model, crit, x, w, _polish_minimax)
