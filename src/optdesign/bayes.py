@@ -102,11 +102,21 @@ class ParameterPrior:
         return (self.params[0], self.params[0])
 
 
+def _composite(edges: np.ndarray, per: int):
+    """Composite Gauss-Legendre rule, per nodes on each panel between
+    consecutive edges; the weights integrate Lebesgue measure."""
+    t, wt = np.polynomial.legendre.leggauss(per)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (t + 1.0)
+    return nodes.ravel(), (half * wt).ravel()
+
+
 def quadrature(prior: ParameterPrior):
     """Nodes and weights integrating the prior; weights sum to 1.
 
     Continuous priors use Gauss-Legendre rules (composite for the truncated
-    exponential); discrete priors return their atoms exactly.
+    exponential and wide uniform ranges); discrete priors return their
+    atoms exactly.
     """
     if prior.kind == "point_mass":
         return np.array(prior.params), np.array([1.0])
@@ -120,13 +130,8 @@ def quadrature(prior: ParameterPrior):
             # small-beta region keeps enough nodes
             npanels = max(prior.quadrature_nodes // 10, 1)
             per = max(prior.quadrature_nodes // npanels, 2)
-            edges = np.geomspace(lo, hi, npanels + 1)
-            t, wt = np.polynomial.legendre.leggauss(per)
-            nodes, weights = [], []
-            for a, b in zip(edges[:-1], edges[1:]):
-                nodes.append(a + 0.5 * (b - a) * (t + 1.0))
-                weights.append(0.5 * (b - a) / (hi - lo) * wt)
-            return np.concatenate(nodes), np.concatenate(weights)
+            nodes, weights = _composite(np.geomspace(lo, hi, npanels + 1), per)
+            return nodes, weights / (hi - lo)
         t, wt = np.polynomial.legendre.leggauss(prior.quadrature_nodes)
         nodes = lo + 0.5 * (hi - lo) * (t + 1.0)
         weights = 0.5 * wt  # density 1/(hi-lo) times jacobian (hi-lo)/2
@@ -136,15 +141,8 @@ def quadrature(prior: ParameterPrior):
     c = 1.0 / (1.0 - math.exp(-1.0))
     npanels = max(prior.quadrature_nodes // 20, 1)
     per = max(prior.quadrature_nodes // npanels, 2)
-    edges = np.linspace(0.0, 1.0 / a, npanels + 1)
-    t, wt = np.polynomial.legendre.leggauss(per)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x = lo + 0.5 * (hi - lo) * (t + 1.0)
-        nodes.append(x)
-        weights.append(0.5 * (hi - lo) * wt * c * a * np.exp(-a * x))
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    nodes, weights = _composite(np.linspace(0.0, 1.0 / a, npanels + 1), per)
+    weights = weights * c * a * np.exp(-a * nodes)
     return nodes, weights / weights.sum()
 
 
@@ -215,7 +213,7 @@ def _polish_bayes(model: Model, crit: Criterion, points, weights):
     wts = np.clip(z[k:], 0.0, None)
     design = default_merge(DesignMeasure.from_arrays(z[:k], wts / wts.sum()), model)
     pts = design.points_array()
-    wts, _ = _newton_weights(
+    wts = _newton_weights(
         stacked_scores(model, pts, nodes), qw, design.weights_array(), model.m)
     return DesignMeasure.from_arrays(pts, wts)
 

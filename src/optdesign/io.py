@@ -72,6 +72,10 @@ def _model_from_doc(doc: dict) -> Model:
     interval = tuple(doc.get("design_interval", model.design_interval))
     if model.name == "logistic" and interval != model.design_interval:
         model = make_logistic(interval[1])
+    if tuple(model.design_interval) != interval:
+        raise ValueError(f"stored design interval {list(interval)} differs "
+                         f"from the {model.name} model's "
+                         f"{list(model.design_interval)}")
     return model
 
 
@@ -89,9 +93,10 @@ def _criterion(model: Model, criterion: dict) -> Criterion:
     if kind == "bayes":
         return prior_criterion(model, _prior(criterion))
     if kind == "maximin":
+        if criterion.get("spacing", "log") != "log":
+            raise ValueError(f"unsupported maximin spacing {criterion['spacing']!r}")
         grid = BetaGrid(criterion["beta_min"], criterion["beta_max"],
-                        criterion.get("count", 400),
-                        criterion.get("spacing", "log"))
+                        criterion.get("count", 400))
         return Criterion.maximin(model, grid.values)
     raise ValueError(f"unknown criterion kind {kind!r}")
 

@@ -21,11 +21,13 @@ from scipy.optimize import linprog
 from .design import (
     DesignMeasure,
     NEG_INF,
+    canonical_merge,
     default_merge,
     det_info,
     stacked_scores,
 )
 from .models import Model
+from .scales import ScaleFunction, logarithm
 
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
@@ -134,14 +136,6 @@ def moment_derivative(A: np.ndarray, q: np.ndarray, Ms: np.ndarray) -> np.ndarra
     return (q[:, None, None] * np.linalg.inv(Ms)).ravel() @ A
 
 
-def _weighted_logdet(q: np.ndarray, Ms: np.ndarray) -> float:
-    """sum_j q_j log det M_j; NEG_INF if any M_j is singular."""
-    ld = logdet_stack(Ms)
-    if not np.all(np.isfinite(ld)):
-        return NEG_INF
-    return float(q @ ld)
-
-
 def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
     """Exact weight optimization on a fixed (small) support.
 
@@ -151,7 +145,7 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
     to 0.9 of the way to the simplex boundary.  It stops when the KKT
     residual max_i |d(x_i) - m| is at most 1e-12 m, or after _NEWTON_ITERS
     steps; no criterion value is compared, so slogdet rounding never
-    rejects a step.  Returns (w, criterion at w).
+    rejects a step.
     """
     s = len(wS)
     w = np.clip(np.asarray(wS, dtype=float), 1e-14, None)
@@ -184,7 +178,7 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
             step = min(step, 0.9 * np.min(-w[neg] / delta[neg]))
         w = w + step * delta
         w /= w.sum()
-    return w, _weighted_logdet(q, info_stack(Fs_S, w))
+    return w
 
 
 def maximize_weighted_logdet(
@@ -253,20 +247,41 @@ def maximize_weighted_logdet(
     return best_w, maxd, history
 
 
-def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
-    """Mixture of local designs at log-equispaced parameters, mapped to the grid."""
-    span = math.log(betas[-1] / betas[0])
-    n = max(int(math.ceil(span / (2.0 * math.log(2.0)))), 1)
-    w = np.full(len(x), 0.1 / len(x))
+def band_mixture(model: Model, scale: ScaleFunction, beta_min: float,
+                 beta_max: float, lam: float) -> DesignMeasure:
+    """Equal-weight mixture of local designs at band-spaced parameters
+    (Braess & Dette 2007).
+
+    Places n = max(ceil(B / (2 lam)), 1) parameters at the midpoints of n
+    equal cells of the scale l, B = l(beta_max) - l(beta_min), so
+    consecutive parameters are at most 2 lam apart and every parameter in
+    the range is within lam of one of them; a point range gives its local
+    design.  Exact duplicates (a fixed support shared by the local designs)
+    merge.
+    """
+    B = scale.span(beta_min, beta_max)
+    n = max(int(math.ceil(B / (2.0 * lam))), 1)
+    lo = scale(beta_min)
+    pts: list = []
+    wts: list = []
     for k in range(1, n + 1):
-        b = betas[0] * math.exp((2 * k - 1) * span / (2 * n))
-        d = local_design(model, float(b))
-        p = d.points_array()
-        right = np.clip(np.searchsorted(x, p), 0, len(x) - 1)
-        left = np.clip(right - 1, 0, len(x) - 1)
-        idx = np.where(np.abs(x[left] - p) < np.abs(x[right] - p), left, right)
-        wk = np.bincount(idx, d.weights_array(), len(x))
-        w += 0.9 / n * wk / wk.sum()
+        b_k = scale.invert(lo + (2 * k - 1) * B / (2 * n), beta_min, beta_max)
+        d = local_design(model, b_k)
+        pts.extend(d.points)
+        wts.extend(w / n for w in d.weights)
+    return canonical_merge(DesignMeasure(tuple(pts), tuple(wts)), 0.0, 0.0)
+
+
+def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
+    """The band mixture between the extreme parameters, log scale and
+    lam = log 2, mapped to the nearest grid points, over a 10% uniform floor."""
+    d = band_mixture(model, logarithm(), float(betas[0]), float(betas[-1]),
+                     math.log(2.0))
+    p = d.points_array()
+    right = np.clip(np.searchsorted(x, p), 0, len(x) - 1)
+    left = np.clip(right - 1, 0, len(x) - 1)
+    idx = np.where(np.abs(x[left] - p) < np.abs(x[right] - p), left, right)
+    w = 0.1 / len(x) + 0.9 * np.bincount(idx, d.weights_array(), len(x))
     return w / w.sum()
 
 
@@ -302,7 +317,8 @@ def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
 
     Raises SingularInformationError if M is singular at any node, by the
     extended-precision det_info: far below a design's own beta a double
-    determinant stays positive while M^{-1} is already noise.  The caller
+    determinant stays positive while M^{-1} is already noise; and if the
+    double-precision inverse fails where det_info passed.  The caller
     checks the nodes and the design points.
     """
     if not np.all(det_info(design, model, betas) > 0.0):
@@ -311,7 +327,11 @@ def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
                     design.weights_array())
     for j in range(0, len(betas), _NODE_BLOCK):
         Fx = stacked_scores(model, x, betas[j:j + _NODE_BLOCK])
-        yield j, dirderiv_stack(Fx, Ms[j:j + _NODE_BLOCK])
+        try:
+            d = dirderiv_stack(Fx, Ms[j:j + _NODE_BLOCK])
+        except np.linalg.LinAlgError as exc:
+            raise SingularInformationError("singular information matrix") from exc
+        yield j, d
 
 
 def local_offsets(model: Model, betas) -> np.ndarray:

@@ -35,23 +35,18 @@ class BetaGrid:
     beta_min: float
     beta_max: float
     count: int = 400
-    spacing: str = "log"  # "log" | "uniform"
 
     def __post_init__(self):
         if self.beta_min > self.beta_max:
             raise ValueError("need beta_min <= beta_max")
         if self.beta_min < self.beta_max and self.count < 2:
             raise ValueError("need at least 2 grid values")
-        if self.spacing not in ("log", "uniform"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
 
     @property
     def values(self) -> np.ndarray:
         if self.beta_min == self.beta_max:
             return np.array([self.beta_min])
-        if self.spacing == "log":
-            return np.geomspace(self.beta_min, self.beta_max, self.count)
-        return np.linspace(self.beta_min, self.beta_max, self.count)
+        return np.geomspace(self.beta_min, self.beta_max, self.count)
 
 
 def maximin_criterion(design: DesignMeasure, model: Model, grid: BetaGrid):

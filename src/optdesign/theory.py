@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bayes import ParameterPrior, bayes_criterion, solve_bayes
-from .design import DesignMeasure, canonical_merge, det_info, gram_determinant
-from .local import local_design, local_offsets
+from .design import DesignMeasure, det_info, gram_determinant
+from .local import band_mixture, local_design, local_offsets
 from .maximin import BetaGrid, maximin_criterion, solve_maximin, support_count
 from .models import Model
 from .scales import ScaleFunction
@@ -210,27 +208,12 @@ def construct_lower_bound_design(
     beta_max: float,
     lam: float,
 ) -> DesignMeasure:
-    """Uniform mixture of local designs at band-spaced parameters.
-
-    Places n = ceil(B / (2 lam)) parameters equally spaced in the scale l
-    (midpoints of n equal cells), so consecutive parameters are at most
-    2 lam apart and every parameter in the range is within lam of one of
-    them; returns the equal-weight mixture of their local designs.
-    """
+    """The band mixture (:func:`local.band_mixture`) of a range whose scale
+    span B is at least 4 lam, the condition of the lower bounds."""
     B = scale.span(beta_min, beta_max)
     if B < 4.0 * lam:
         raise ValueError(f"scale span {B:g} below the required 4*lambda = {4*lam:g}")
-    n = int(math.ceil(B / (2.0 * lam)))
-    lo = scale(beta_min)
-    pts: list = []
-    wts: list = []
-    for k in range(1, n + 1):
-        b_k = scale.invert(lo + (2 * k - 1) * B / (2 * n), beta_min, beta_max)
-        d = local_design(model, b_k)
-        pts.extend(d.points)
-        wts.extend(w / n for w in d.weights)
-    # merge exact duplicates (shared fixed support across the local designs)
-    return canonical_merge(DesignMeasure(tuple(pts), tuple(wts)), 0.0, 0.0)
+    return band_mixture(model, scale, beta_min, beta_max, lam)
 
 
 def verify_lower_bounds(
@@ -333,8 +316,7 @@ def growth_study(
 ):
     """Support counts and criterion values across parameter-range widths.
 
-    criterion: "maximin" or "bayes-uniform" (alias "bayes"); rows may run in
-    parallel, bounded by the OPTDESIGN_THREADS environment variable.
+    criterion: "maximin" or "bayes-uniform" (alias "bayes").
     """
     criterion = {"bayes": "bayes-uniform"}.get(criterion, criterion)
     if criterion not in ("maximin", "bayes-uniform"):
@@ -342,12 +324,7 @@ def growth_study(
     Bs = [float(b) for b in B_list]
     if Bs != sorted(Bs):
         raise ValueError("B_list must be sorted ascending")
-    threads = max(1, int(os.environ.get("OPTDESIGN_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda b: _growth_row(model, criterion, b), Bs))
-    else:
-        rows = [_growth_row(model, criterion, b) for b in Bs]
+    rows = [_growth_row(model, criterion, b) for b in Bs]
     if csv_path is not None:
         write_growth_csv(rows, csv_path)
     return rows

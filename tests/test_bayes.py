@@ -26,6 +26,7 @@ from optdesign import (
 import optdesign.bayes
 import optdesign.local
 from optdesign.bayes import POS_INF, prior_criterion
+from optdesign.local import SingularInformationError
 
 
 class TestParameterPrior:
@@ -237,6 +238,16 @@ class TestSeededSolve:
         _, cert = solve_bayes(make_logistic(35.0),
                               ParameterPrior.uniform(1.0, 30.0))
         assert cert.passed
+
+    def test_singular_inverse_in_the_audit_fails_closed(self):
+        # the certificate's double-precision inverse can fail where the
+        # extended-precision determinant passed: the documented error, or a
+        # failed certificate, never a bare numpy LinAlgError
+        try:
+            _, cert = solve_bayes(EXP3, ParameterPrior.uniform(1.0, 6000.0))
+        except SingularInformationError:
+            return
+        assert not cert.passed
 
 
 class TestWeightSolve:

@@ -16,6 +16,7 @@ from optdesign import (
     BetaGrid,
     DesignMeasure,
     ParameterPrior,
+    local_design,
     solve_bayes,
     solve_local,
     solve_maximin,
@@ -166,6 +167,30 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestArtifactFailsClosed:
+    def _artifact(self, tmp_path, criterion, **changes):
+        out = tmp_path / "a.json"
+        write_artifact(str(out), EXP1, criterion, local_design(EXP1, 3.0))
+        doc = json.loads(out.read_text())
+        doc.update(changes)
+        out.write_text(json.dumps(doc))
+        return str(out)
+
+    def test_non_log_maximin_spacing_is_rejected(self, tmp_path):
+        path = self._artifact(tmp_path, {
+            "kind": "maximin", "beta_min": 1.0, "beta_max": 10.0,
+            "count": 40, "spacing": "uniform"})
+        with pytest.raises(ValueError, match="spacing"):
+            verify_artifact(path)
+
+    def test_foreign_design_interval_is_rejected(self, tmp_path):
+        # exp1 lives on [0, 1]: an artifact stored on [0, 0.5] cannot be
+        # re-audited as it was solved
+        path = self._artifact(tmp_path, 3.0, design_interval=[0.0, 0.5])
+        with pytest.raises(ValueError, match="design interval"):
+            verify_artifact(path)
 
 
 class TestBayesCommand:

@@ -24,7 +24,7 @@ from optdesign import (
     solve_maximin,
 )
 from optdesign.bayes import _polish_bayes, prior_criterion, quadrature
-from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
+from optdesign.design import det_info, det_via_cauchy_binet
 from optdesign.local import (
     _KELLEY_TOL,
     Criterion,
@@ -33,6 +33,7 @@ from optdesign.local import (
     _newton_weights,
     _seed_mixture_weights,
     audit_grid,
+    band_mixture,
     build_grid,
     certify,
     dirderiv_stack,
@@ -47,6 +48,8 @@ from optdesign.local import (
 )
 from optdesign.maximin import _polish_minimax
 from optdesign.models import _exp3_local_design, h_function
+from optdesign.scales import logarithm
+from optdesign.theory import construct_lower_bound_design
 
 
 class TestGridSpec:
@@ -214,9 +217,8 @@ class TestNewtonWeights:
     def test_singular_support_returns_start_weights(self):
         # at beta = 1e4 both score rows round to (1, 0): M is exactly singular
         Fs = stacked_scores(EXP2, np.array([0.0, 1.0]), [1e4])
-        w, c = _newton_weights(Fs, np.ones(1), np.array([0.5, 0.5]), 2)
+        w = _newton_weights(Fs, np.ones(1), np.array([0.5, 0.5]), 2)
         np.testing.assert_array_equal(w, [0.5, 0.5])
-        assert c == NEG_INF
 
     # ill-conditioned local weights (condition number 1e7 at beta = 0.1034),
     # where rounded slogdet comparisons rejected the step to the optimum
@@ -267,6 +269,29 @@ def _bayes_grid_problem(model, B=3.0):
 
 def _mean_logdet(Fs, q, w):
     return float(q @ logdet_stack(info_stack(Fs, w)))
+
+
+class TestSeedMixture:
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3], ids=lambda m: m.name)
+    def test_seed_mass_sits_on_the_lower_bound_design(self, model):
+        # span log 40 >= 4 log 2: the seed is the lower-bound band mixture
+        # mapped to the nearest grid points, over a 10% uniform floor
+        x = build_grid(model.design_interval, GridSpec(),
+                       extra_points=list(model.fixed_support))
+        w = _seed_mixture_weights(model, np.array([1.0, 40.0]), x)
+        xi = construct_lower_bound_design(model, logarithm(), 1.0, 40.0,
+                                          math.log(2.0))
+        idx = np.abs(x[:, None] - xi.points_array()[None, :]).argmin(axis=0)
+        want = np.full(len(x), 0.1 / len(x))
+        np.add.at(want, idx, 0.9 * xi.weights_array())
+        np.testing.assert_allclose(w, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3], ids=lambda m: m.name)
+    def test_point_range_gives_the_local_design(self, model):
+        xi = band_mixture(model, logarithm(), 3.0, 3.0, math.log(2.0))
+        local = local_design(model, 3.0)
+        assert xi.points == local.points
+        np.testing.assert_allclose(xi.weights, local.weights, rtol=1e-15)
 
 
 class TestKelley:

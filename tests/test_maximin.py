@@ -28,8 +28,6 @@ class TestBetaGrid:
             BetaGrid(5.0, 2.0)
         with pytest.raises(ValueError):
             BetaGrid(1.0, 2.0, count=1)
-        with pytest.raises(ValueError):
-            BetaGrid(1.0, 2.0, spacing="cubic")
 
     def test_singleton_grid(self):
         g = BetaGrid(3.0, 3.0)

@@ -285,14 +285,6 @@ class TestGrowthStudy:
         rows = growth_study(EXP1, "bayes", [5.0])
         assert rows[0].certified and rows[0].support_count == 1
 
-    def test_threaded_rows_match_serial(self, monkeypatch):
-        serial = growth_study(EXP1, "maximin", [5.0, 10.0])
-        monkeypatch.setenv("OPTDESIGN_THREADS", "2")
-        threaded = growth_study(EXP1, "maximin", [5.0, 10.0])
-        for a, b in zip(serial, threaded):
-            assert a.support_count == b.support_count
-            np.testing.assert_allclose(a.value, b.value, rtol=1e-9)
-
     def test_failed_row_records_error(self, tmp_path):
         rows = [
             r if r.error is None else r
