@@ -142,7 +142,9 @@ def _det_closed(a: np.ndarray):
 
 
 def stacked_scores(model, x: np.ndarray, betas) -> np.ndarray:
-    """Score matrices at all points x for each beta, shape (J, n, m).
+    """Score matrices at the points x for each beta, shape (J, n, m): x of
+    shape (n,) is shared by every beta, x of shape (J, n) holds one row of
+    points per beta.
 
     One broadcast call of ``model.score`` through ``model.score_matrix``;
     see :class:`Model` for the contract (``x`` broadcasts against ``beta``,
@@ -150,11 +152,11 @@ def stacked_scores(model, x: np.ndarray, betas) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    want = (len(betas), len(x), model.m)
+    want = (len(betas), x.shape[-1], model.m)
     contract = (
         f"score of model {model.name!r} must broadcast x against beta and put "
-        f"the parameter axis last: x of shape (1, {len(x)}) and beta of shape "
-        f"({len(betas)}, 1) should give {want}"
+        f"the parameter axis last: x of shape {np.atleast_2d(x).shape} and "
+        f"beta of shape ({len(betas)}, 1) should give {want}"
     )
     try:
         Fs = np.asarray(model.score_matrix(x, betas))
@@ -186,30 +188,36 @@ def information_matrix(design: DesignMeasure, model, beta: float) -> InfoMatrix:
     return InfoMatrix(0.5 * (a + a.T))
 
 
-def det_info(design: DesignMeasure, model, beta):
-    """Determinant of the information matrix via the closed form; for a 1-D
-    array of beta, the array of determinants from one stacked score call.
+def det_stack(Fs: np.ndarray, w, n_points, betas) -> np.ndarray:
+    """det of M_j = sum_k w_jk f_jk f_jk^T for a (J, n, m) score stack Fs
+    and weights w of shape (n,) or (J, n): the package's one determinant of
+    M, behind det_info and local_offsets.
 
-    This is the package's one determinant of M: the criteria, the
-    efficiencies and the theory checks all evaluate it here.  A design on
-    fewer than m points is structurally singular, so that case returns 0
-    exactly instead of cancellation noise.  A non-finite determinant (a NaN
-    or infinite score) raises ArithmeticError.
+    Accumulated in extended precision: rounding the matrix entries to double
+    already destroys the near-cancelling determinant.  A design on fewer
+    than m points (n_points: one count, or one per matrix) is structurally
+    singular, so that case returns 0 exactly instead of cancellation noise.
+    A non-finite determinant (a NaN or infinite score) raises
+    ArithmeticError.
     """
-    model.check_points(design.points)
-    F = _score_stack(model, design.points_array(), beta)
-    if design.n < model.m:
-        d = np.zeros(len(F))
-    else:
-        # accumulate in extended precision: rounding the matrix entries to
-        # double already destroys the near-cancelling determinant
-        F = F.astype(np.longdouble)
-        w = design.weights_array().astype(np.longdouble)
-        d = _det_closed(np.matmul(F.transpose(0, 2, 1), F * w[:, None]))
+    F = Fs.astype(np.longdouble)
+    w = np.asarray(w, dtype=np.longdouble)
+    d = _det_closed(np.matmul(F.transpose(0, 2, 1), F * w[..., None]))
+    d = np.where(np.asarray(n_points) < Fs.shape[2], 0.0, d)
     bad = ~np.isfinite(d)
     if bad.any():
-        at = np.atleast_1d(beta)[bad][0]
+        at = np.atleast_1d(betas)[bad][0]
         raise ArithmeticError(f"non-finite information determinant at beta={at}")
+    return d
+
+
+def det_info(design: DesignMeasure, model, beta):
+    """Determinant of the information matrix via the closed form of
+    :func:`det_stack`; for a 1-D array of beta, the array of determinants
+    from one stacked score call."""
+    model.check_points(design.points)
+    F = _score_stack(model, design.points_array(), beta)
+    d = det_stack(F, design.weights_array(), design.n, beta)
     return float(d[0]) if np.ndim(beta) == 0 else d
 
 

@@ -21,9 +21,11 @@ from scipy.optimize import linprog
 from .design import (
     DesignMeasure,
     NEG_INF,
+    _score_stack,
     canonical_merge,
     default_merge,
     det_info,
+    det_stack,
     stacked_scores,
 )
 from .models import Model
@@ -261,12 +263,11 @@ def band_mixture(model: Model, scale: ScaleFunction, beta_min: float,
     """
     B = scale.span(beta_min, beta_max)
     n = max(int(math.ceil(B / (2.0 * lam))), 1)
-    lo = scale(beta_min)
+    targets = scale(beta_min) + (2 * np.arange(1, n + 1) - 1) * B / (2 * n)
     pts: list = []
     wts: list = []
-    for k in range(1, n + 1):
-        b_k = scale.invert(lo + (2 * k - 1) * B / (2 * n), beta_min, beta_max)
-        d = local_design(model, b_k)
+    for b_k in scale.invert(targets, beta_min, beta_max):
+        d = local_design(model, float(b_k))
         pts.extend(d.points)
         wts.extend(w / n for w in d.weights)
     return canonical_merge(DesignMeasure(tuple(pts), tuple(wts)), 0.0, 0.0)
@@ -335,8 +336,22 @@ def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
 
 
 def local_offsets(model: Model, betas) -> np.ndarray:
-    """log det of the local optimum at each node: the standardizing offsets."""
-    return np.array([local_logdet(model, float(b)) for b in betas])
+    """log det M(xi[beta], beta) of the cached local design at each node: the
+    standardizing offsets.  The designs are stacked into (J, n) points and
+    weights, a shorter one padded with zero-weight copies of its first point
+    (exact zeros in the extended-precision sums), for one score call and the
+    det_info kernel: each offset is Criterion.local(beta).log_efficiencies
+    of local_design(model, beta) bit for bit."""
+    betas = np.asarray(betas, dtype=float)
+    designs = [local_design(model, float(b)) for b in betas]
+    counts = np.array([xi.n for xi in designs])
+    n = counts.max()
+    P = np.array([xi.points + xi.points[:1] * (n - xi.n) for xi in designs])
+    W = np.array([xi.weights + (0.0,) * (n - xi.n) for xi in designs])
+    model.check_points(np.unique(P))
+    d = det_stack(_score_stack(model, P, betas), W, counts, betas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d > 0.0, np.log(d), NEG_INF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,9 +381,9 @@ class Criterion:
 
     def log_efficiencies(self, model: Model, design: DesignMeasure) -> np.ndarray:
         """log det M(xi, beta_j) - offsets_j; NEG_INF where M is singular.
-        The determinants come from det_info, and local_logdet calls this,
-        so numerators and offsets share one kernel; a non-finite
-        determinant raises ArithmeticError."""
+        The determinants come from det_info, and :func:`local_offsets` from
+        its kernel det_stack, so numerators and offsets share one kernel; a
+        non-finite determinant raises ArithmeticError."""
         d = det_info(design, model, self.betas)
         with np.errstate(divide="ignore", invalid="ignore"):
             ld = np.where(d > 0.0, np.log(d), NEG_INF)
@@ -551,9 +566,3 @@ def local_design(model: Model, beta: float) -> DesignMeasure:
         raise RuntimeError(f"local solve failed certification for beta={beta}")
     return design
 
-
-@functools.lru_cache(maxsize=None)
-def local_logdet(model: Model, beta: float) -> float:
-    """log det M(xi[beta], beta), cached; denominator of every efficiency."""
-    crit = Criterion.local(beta)
-    return float(crit.log_efficiencies(model, local_design(model, beta))[0])

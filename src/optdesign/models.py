@@ -71,10 +71,11 @@ class Model:
     def score_matrix(self, x: np.ndarray, beta) -> np.ndarray:
         """Scores at many points: an (n, m) array for a scalar ``beta``; for
         a 1-D array of J values, one broadcast call giving the (J, n, m)
-        stack."""
+        stack, at the same n points for every value or, for x of shape
+        (J, n), at row j of x for value j."""
         x = np.asarray(x, dtype=float)
         if np.ndim(beta) == 1:
-            return self.score(x[None, :], np.asarray(beta)[:, None])
+            return self.score(np.atleast_2d(x), np.asarray(beta)[:, None])
         F = np.atleast_2d(self.score(x, beta))
         if F.shape[0] == self.m and F.shape[1] != self.m:
             F = F.T

@@ -19,39 +19,49 @@ from scipy.integrate import quad
 @dataclass(frozen=True)
 class ScaleFunction:
     kind: str  # "identity" | "logarithm" | "density-integral"
-    _ell: Callable[[float], float] = field(repr=False)
+    # elementwise on a float array; every built-in ell is written in numpy
+    _ell: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __call__(self, beta):
-        if np.ndim(beta) == 0:
-            return self._ell(float(beta))
-        return np.array([self._ell(float(b)) for b in np.ravel(beta)]).reshape(
-            np.shape(beta)
-        )
+        """ell(beta): a float for a scalar beta, for an array the array of
+        the same shape, from one call of the elementwise ell."""
+        val = self._ell(np.asarray(beta, dtype=float))
+        return float(val) if np.ndim(beta) == 0 else np.asarray(val, dtype=float)
 
     def span(self, beta_min: float, beta_max: float) -> float:
-        return self._ell(float(beta_max)) - self._ell(float(beta_min))
+        return self(beta_max) - self(beta_min)
 
-    def invert(self, target: float, beta_min: float, beta_max: float) -> float:
-        """Solve ell(beta) = target on [beta_min, beta_max] by bisection.
+    def invert(self, target, beta_min: float, beta_max: float):
+        """Solve ell(beta) = target on [beta_min, beta_max] by bisection: a
+        float for a scalar target, for an array of targets the array of
+        solutions, all bisected together with one ell call per step.
 
-        Stops at the fixed point: once the bracket is two adjacent doubles,
-        the midpoint rounds to an end and no step changes (lo, hi) again.
+        Each element stops at its own fixed point: once its bracket is two
+        adjacent doubles, the midpoint rounds to an end and no step changes
+        (lo, hi) again, so it leaves the bisection.  A target outside
+        [ell(beta_min), ell(beta_max)], or NaN, raises ValueError.
         """
-        lo, hi = float(beta_min), float(beta_max)
-        flo, fhi = self._ell(lo), self._ell(hi)
-        if not flo <= target <= fhi:
-            raise ValueError(f"target {target} outside ell range [{flo}, {fhi}]")
+        t = np.asarray(target, dtype=float)
+        flo, fhi = self(beta_min), self(beta_max)
+        inside = (flo <= t) & (t <= fhi)
+        if not np.all(inside):
+            bad = t[~inside].ravel()[0]
+            raise ValueError(f"target {bad} outside ell range [{flo}, {fhi}]")
+        t = t.ravel()
+        lo = np.full(t.shape, float(beta_min))
+        hi = np.full(t.shape, float(beta_max))
+        live = np.arange(t.size)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self._ell(mid) < target:
-                if lo == mid:
-                    break
-                lo = mid
-            else:
-                if hi == mid:
-                    break
-                hi = mid
-        return 0.5 * (lo + hi)
+            if not live.size:
+                break
+            mid = 0.5 * (lo[live] + hi[live])
+            below = self._ell(mid) < t[live]
+            moved = np.where(below, lo[live] != mid, hi[live] != mid)
+            live, mid, below = live[moved], mid[moved], below[moved]
+            lo[live[below]] = mid[below]
+            hi[live[~below]] = mid[~below]
+        beta = 0.5 * (lo + hi)
+        return float(beta[0]) if np.ndim(target) == 0 else beta.reshape(np.shape(target))
 
 
 def identity() -> ScaleFunction:
@@ -59,11 +69,12 @@ def identity() -> ScaleFunction:
 
 
 def logarithm() -> ScaleFunction:
-    return ScaleFunction("logarithm", math.log)
+    return ScaleFunction("logarithm", np.log)
 
 
 def density_integral(density: Callable[[float], float], lower: float) -> ScaleFunction:
-    """Scale defined by ell(b) = integral of ``density`` from ``lower`` to b."""
+    """Scale defined by ell(b) = integral of ``density`` from ``lower`` to b,
+    one ``quad`` per element."""
 
     def ell(b: float) -> float:
         if b <= lower:
@@ -71,15 +82,15 @@ def density_integral(density: Callable[[float], float], lower: float) -> ScaleFu
         val, _ = quad(density, lower, b, limit=200)
         return val
 
-    return ScaleFunction("density-integral", ell)
+    return ScaleFunction("density-integral", np.vectorize(ell, otypes=[float]))
 
 
 def step(atoms) -> ScaleFunction:
     """Right-continuous step scale with a unit jump at each atom."""
     pts = np.sort(np.asarray(atoms, dtype=float))
 
-    def ell(b: float) -> float:
-        return float(np.searchsorted(pts, b, side="right"))
+    def ell(b):
+        return np.searchsorted(pts, b, side="right").astype(float)
 
     return ScaleFunction("density-integral", ell)
 
@@ -93,8 +104,7 @@ def truncated_exponential(a: float) -> ScaleFunction:
         raise ValueError("a must be in (0, 1)")
     c = 1.0 / (1.0 - math.exp(-1.0))
 
-    def ell(b: float) -> float:
-        b = min(max(b, 0.0), 1.0 / a)
-        return c / math.sqrt(a) * (1.0 - math.exp(-a * b))
+    def ell(b):
+        return c / math.sqrt(a) * (1.0 - np.exp(-a * np.clip(b, 0.0, 1.0 / a)))
 
     return ScaleFunction("density-integral", ell)

@@ -222,6 +222,15 @@ class TestCanonicalMerge:
             canonical_merge(d, 1e-6, 0.9)
 
 
+_SCALES = pytest.mark.parametrize("scale, lo, hi", [
+    (identity(), 1.0, 100.0),
+    (logarithm(), 1.0, 5000.0),
+    (truncated_exponential(0.3), 0.0, 1.0 / 0.3),
+    (step((1.5, 2.0, 7.25)), 1.0, 10.0),
+    (density_integral(lambda b: 1.0 / b, 1.0), 1.0, 50.0),
+], ids=["identity", "logarithm", "truncexp", "step", "density"])
+
+
 class TestScaleFunctions:
     def test_identity_and_log(self):
         assert identity()(3.5) == 3.5
@@ -247,13 +256,7 @@ class TestScaleFunctions:
         b = s.invert(s(7.3), 1.0, 100.0)
         np.testing.assert_allclose(b, 7.3, rtol=1e-10)
 
-    @pytest.mark.parametrize("scale, lo, hi", [
-        (identity(), 1.0, 100.0),
-        (logarithm(), 1.0, 5000.0),
-        (truncated_exponential(0.3), 0.0, 1.0 / 0.3),
-        (step((1.5, 2.0, 7.25)), 1.0, 10.0),
-        (density_integral(lambda b: 1.0 / b, 1.0), 1.0, 50.0),
-    ], ids=["identity", "logarithm", "truncexp", "step", "density"])
+    @_SCALES
     def test_invert_stops_at_the_bisection_fixed_point(self, scale, lo, hi):
         def reference(target):
             # the full 200-step bisection, without the early stop
@@ -282,3 +285,40 @@ class TestScaleFunctions:
             assert len(calls) <= 2 + 200
             if scale(lo) < target or lo > 0.0:
                 assert len(calls) < 2 + 100
+
+
+class TestArrayScaleInversion:
+    @_SCALES
+    def test_array_invert_is_the_scalar_invert(self, scale, lo, hi):
+        targets = np.linspace(scale(lo), scale(hi), 41)
+        got = scale.invert(targets, lo, hi)
+        assert isinstance(got, np.ndarray) and got.shape == targets.shape
+        assert got.tolist() == [scale.invert(float(t), lo, hi) for t in targets]
+        assert isinstance(scale.invert(float(targets[7]), lo, hi), float)
+        # an array keeps its shape, and ell of an array is elementwise
+        grid = scale.invert(targets[1:].reshape(4, 10), lo, hi)
+        assert grid.tolist() == got[1:].reshape(4, 10).tolist()
+        assert scale(got).tolist() == [scale(float(b)) for b in got]
+
+    @_SCALES
+    def test_ell_brackets_each_target(self, scale, lo, hi):
+        targets = np.linspace(scale(lo), scale(hi), 41)[1:-1]
+        beta = scale.invert(targets, lo, hi)
+        assert np.all((lo <= beta) & (beta <= hi))
+        # the last bracket is beta and one adjacent double: ell rises
+        # through the target on one side (quad noise breaks monotonicity
+        # of the density scale across both sides)
+        at = scale(beta)
+        below = scale(np.nextafter(beta, -np.inf))
+        above = scale(np.nextafter(beta, np.inf))
+        assert np.all(((below <= targets) & (targets <= at))
+                      | ((at <= targets) & (targets <= above)))
+
+    @_SCALES
+    def test_out_of_range_or_nan_target_raises(self, scale, lo, hi):
+        flo, fhi = scale(lo), scale(hi)
+        for bad in (flo - 1.0, fhi + 1.0, math.nan):
+            with pytest.raises(ValueError):
+                scale.invert(bad, lo, hi)
+            with pytest.raises(ValueError):
+                scale.invert(np.array([flo, bad, fhi]), lo, hi)

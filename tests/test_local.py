@@ -14,6 +14,7 @@ from optdesign import (
     BetaGrid,
     DesignMeasure,
     GridSpec,
+    Model,
     ParameterPrior,
     canonical_merge,
     directional_derivative,
@@ -24,7 +25,7 @@ from optdesign import (
     solve_maximin,
 )
 from optdesign.bayes import _polish_bayes, prior_criterion, quadrature
-from optdesign.design import det_info, det_via_cauchy_binet
+from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
 from optdesign.local import (
     _KELLEY_TOL,
     Criterion,
@@ -38,6 +39,7 @@ from optdesign.local import (
     certify,
     dirderiv_stack,
     info_stack,
+    local_offsets,
     logdet_stack,
     maximize_weighted_logdet,
     moment_derivative,
@@ -335,6 +337,63 @@ class TestCriterionDeterminant:
             [det_via_cauchy_binet(design, EXP3, float(b)) for b in betas])
         np.testing.assert_allclose(
             crit.log_efficiencies(EXP3, design), want, rtol=0.0, atol=1e-7)
+
+
+def _one_or_two_point_model(m, name):
+    """A custom model on [0, 1] whose local design has two points from
+    beta = 5 on and one below: stacked offsets pad the short designs."""
+
+    def score(x, beta):
+        e = np.exp(-beta * x)
+        return np.stack([np.ones_like(e), -x * e][2 - m:], axis=-1)
+
+    def local(beta):
+        if beta < 5.0:
+            return DesignMeasure.point_mass(0.5)
+        return DesignMeasure((0.0, 1.0 / beta), (0.4, 0.6))
+
+    return Model(name=name, m=m, m_eta=0, design_interval=(0.0, 1.0),
+                 beta_range=(1e-12, math.inf), score=score,
+                 analytic_local=local)
+
+
+def _per_beta_offsets(model, betas):
+    return [float(Criterion.local(b).log_efficiencies(
+        model, local_design(model, float(b)))[0]) for b in betas]
+
+
+class TestLocalOffsets:
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3, LOGISTIC],
+                             ids=["exp1", "exp2", "exp3", "logistic"])
+    def test_stacked_offsets_are_the_per_beta_ones(self, model):
+        betas = np.geomspace(1.0, 300.0, 60)
+        assert local_offsets(model, betas).tolist() == _per_beta_offsets(model, betas)
+
+    def test_shorter_designs_are_padded_exactly(self):
+        model = _one_or_two_point_model(1, "one-or-two")
+        betas = np.geomspace(1.0, 40.0, 25)
+        got = local_offsets(model, betas)
+        assert got.tolist() == _per_beta_offsets(model, betas)
+        assert np.all(np.isfinite(got))
+
+    def test_fewer_than_m_points_give_neg_inf(self):
+        model = _one_or_two_point_model(2, "one-or-two-m2")
+        betas = np.geomspace(1.0, 40.0, 25)
+        got = local_offsets(model, betas)
+        assert got.tolist() == _per_beta_offsets(model, betas)
+        assert np.all((got == NEG_INF) == (betas < 5.0))
+        assert np.all(np.isfinite(got[betas >= 5.0]))
+
+    def test_nan_score_raises(self):
+        def score(x, beta):
+            return np.where(beta > 3.0, np.nan, x * np.exp(-beta * x))[..., None]
+
+        model = Model(name="nan-above-3", m=1, m_eta=0, design_interval=(0.0, 1.0),
+                      beta_range=(1e-12, math.inf), score=score,
+                      analytic_local=EXP1.analytic_local)
+        assert np.all(np.isfinite(local_offsets(model, [1.0, 2.0, 3.0])))
+        with pytest.raises(ArithmeticError, match="beta=4"):
+            local_offsets(model, [1.0, 2.0, 4.0, 5.0])
 
 
 class TestLocalDesignCache:

@@ -26,6 +26,7 @@ from optdesign import (
 )
 from optdesign import theory
 from optdesign.design import det_info
+from optdesign.local import local_offsets
 from optdesign.theory import write_growth_csv
 from optdesign.scales import identity, logarithm
 
@@ -228,6 +229,38 @@ class TestLowerBounds:
     def test_three_parameter_efficiency_floor(self):
         rep = verify_lower_bounds(EXP3, logarithm(), (1.0, 16.0), math.log(2.0))
         assert rep.passed
+
+    @pytest.mark.parametrize("model", [EXP1, EXP2], ids=["exp1", "exp2"])
+    @pytest.mark.parametrize("offset", [-math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_efficiency_fails_closed(self, monkeypatch, model, offset):
+        # an offset of -inf gives efficiency +inf, a NaN offset a NaN one;
+        # neither compares below a bound, so each must count on its own
+        def broken(m, betas):
+            off = local_offsets(m, betas)
+            off[len(off) // 2] = offset
+            return off
+
+        monkeypatch.setattr(theory, "local_offsets", broken)
+        rep = verify_lower_bounds(model, logarithm(), (1.0, 40.0), math.log(2.0))
+        assert rep.violations >= 1 and not rep.passed
+
+    @pytest.mark.parametrize("beta_range", [(1.0, 40.0), (1.0, 300.0), (2.0, 3000.0)])
+    def test_log_audit_grid_is_geometric(self, monkeypatch, beta_range):
+        seen = []
+
+        def recording(m, betas):
+            seen.append(betas)
+            return local_offsets(m, betas)
+
+        monkeypatch.setattr(theory, "local_offsets", recording)
+        verify_lower_bounds(EXP1, logarithm(), beta_range, math.log(2.0),
+                            audit_count=500)
+        (grid,) = seen
+        want = np.geomspace(*beta_range, 500)
+        # the log resolves beta only to its own last bit: compare in ulps of
+        # the largest log on the grid, a relative error in beta
+        ulp = np.spacing(max(abs(math.log(b)) for b in beta_range))
+        assert np.all(np.abs(grid - want) <= 4.0 * ulp * want)
 
 
 class TestOnePointCriterionDecay:
