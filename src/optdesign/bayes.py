@@ -20,7 +20,6 @@ from .design import (
     NEG_INF,
     default_merge,
     det_info,
-    information_matrix,
 )
 from .local import (
     Criterion,
@@ -30,6 +29,7 @@ from .local import (
     build_grid,
     info_stack,
     local_offsets,
+    local_stack,
     logdet_stack,
     maximize_weighted_logdet,
     refine,
@@ -236,8 +236,8 @@ def solve_bayes(
     ends = nodes[[0, -1]]
     extra = list(model.fixed_support)
     if model.analytic_local is not None:
-        for b in ends:
-            extra.extend(model.analytic_local(float(b)).points)
+        P, W, _ = local_stack(model, ends)
+        extra.extend(P[W > 0.0])
     x = build_grid(model.design_interval, grid, extra_points=extra)
     if model.analytic_local is None or ends[0] <= 0.0:
         keep, w0 = slice(None), np.full(len(x), 1.0 / len(x))
@@ -259,17 +259,13 @@ def bayes_a_criterion(
     Evaluation only; returns the plus-infinity sentinel when M is singular
     at some node (the quantity is minimization-type).
     """
-    from .local import local_design
-
     nodes, qw = quadrature(prior)
     if not np.all(det_info(design, model, nodes) > 0.0):
         return POS_INF
-    total = 0.0
-    for b, q in zip(nodes, qw):
-        b = float(b)
-        M = information_matrix(design, model, b).entries
-        tr = float(np.trace(np.linalg.inv(M)))
-        Mloc = information_matrix(local_design(model, b), model, b).entries
-        tr_loc = float(np.trace(np.linalg.inv(Mloc)))
-        total += q * tr / tr_loc
-    return total
+    P, W, _ = local_stack(model, nodes)
+    M = info_stack(stacked_scores(model, design.points_array(), nodes),
+                   design.weights_array())
+    Mloc = info_stack(stacked_scores(model, P, nodes), W)
+    tr = np.trace(np.linalg.inv(M), axis1=1, axis2=2)
+    tr_loc = np.trace(np.linalg.inv(Mloc), axis1=1, axis2=2)
+    return float(qw @ (tr / tr_loc))

@@ -170,11 +170,9 @@ def stacked_scores(model, x: np.ndarray, betas) -> np.ndarray:
 def _score_stack(model, x: np.ndarray, beta) -> np.ndarray:
     """Checked scores at x as a (J, n, m) stack: one matrix for a scalar
     beta, one per entry of a 1-D array of beta."""
+    model.check_beta(beta)
     if np.ndim(beta) == 0:
-        model.check_beta(beta)
         return model.score_matrix(x, beta)[None]
-    for b in beta:
-        model.check_beta(float(b))
     return stacked_scores(model, x, beta)
 
 

@@ -21,7 +21,6 @@ from scipy.optimize import linprog
 from .design import (
     DesignMeasure,
     NEG_INF,
-    _score_stack,
     canonical_merge,
     default_merge,
     det_info,
@@ -104,7 +103,8 @@ def build_grid(interval, spec: GridSpec, extra_points=()) -> np.ndarray:
 
 
 def info_stack(Fs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.matmul(Fs.transpose(0, 2, 1), Fs * w[None, :, None])
+    """M_j = sum_k w_k f_jk f_jk^T, weights w of shape (n,) or (J, n)."""
+    return np.matmul(Fs.transpose(0, 2, 1), Fs * w[..., None])
 
 
 def logdet_stack(Ms: np.ndarray) -> np.ndarray:
@@ -264,13 +264,9 @@ def band_mixture(model: Model, scale: ScaleFunction, beta_min: float,
     B = scale.span(beta_min, beta_max)
     n = max(int(math.ceil(B / (2.0 * lam))), 1)
     targets = scale(beta_min) + (2 * np.arange(1, n + 1) - 1) * B / (2 * n)
-    pts: list = []
-    wts: list = []
-    for b_k in scale.invert(targets, beta_min, beta_max):
-        d = local_design(model, float(b_k))
-        pts.extend(d.points)
-        wts.extend(w / n for w in d.weights)
-    return canonical_merge(DesignMeasure(tuple(pts), tuple(wts)), 0.0, 0.0)
+    P, W, _ = local_stack(model, scale.invert(targets, beta_min, beta_max))
+    keep = W > 0.0
+    return canonical_merge(DesignMeasure(P[keep], W[keep] / n), 0.0, 0.0)
 
 
 def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
@@ -305,51 +301,76 @@ def directional_derivative(
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _check_nodes(model: Model, design: DesignMeasure, betas) -> None:
-    for b in betas:
-        model.check_beta(float(b))
-    model.check_points(design.points)
-
-
 def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
     """Yield (j, d), d[i, k] = f(x_k, b)^T M^{-1}(xi, b) f(x_k, b) for the
     nodes b = betas[j + i], in blocks of _NODE_BLOCK nodes so that the score
     stack at x stays at _NODE_BLOCK * len(x) * m entries.
 
-    Raises SingularInformationError if M is singular at any node, by the
-    extended-precision det_info: far below a design's own beta a double
-    determinant stays positive while M^{-1} is already noise; and if the
-    double-precision inverse fails where det_info passed.  The caller
-    checks the nodes and the design points.
+    d = ||f R^{-1}||^2, R the QR factor of the weighted design scores
+    sqrt(w_i) f(x_i, b) (M = R^T R): R's condition number is the square root
+    of M's, so d holds far below a design's own beta, where the inverse of M
+    is noise.  SingularInformationError for a design on fewer than m points
+    of positive weight, an exactly singular R, or a non-finite derivative.
     """
-    if not np.all(det_info(design, model, betas) > 0.0):
+    model.check_beta(betas)
+    model.check_points(design.points)
+    w = design.weights_array()
+    if np.count_nonzero(w) < model.m:
         raise SingularInformationError("singular information matrix")
-    Ms = info_stack(stacked_scores(model, design.points_array(), betas),
-                    design.weights_array())
+    A = np.sqrt(w)[:, None] * stacked_scores(model, design.points_array(), betas)
+    try:
+        Rinv = np.linalg.inv(np.linalg.qr(A, mode="r"))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInformationError("singular information matrix") from exc
     for j in range(0, len(betas), _NODE_BLOCK):
         Fx = stacked_scores(model, x, betas[j:j + _NODE_BLOCK])
-        try:
-            d = dirderiv_stack(Fx, Ms[j:j + _NODE_BLOCK])
-        except np.linalg.LinAlgError as exc:
-            raise SingularInformationError("singular information matrix") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (np.matmul(Fx, Rinv[j:j + _NODE_BLOCK]) ** 2).sum(axis=2)
+        if not np.all(np.isfinite(d)):
+            raise SingularInformationError("non-finite directional derivative")
         yield j, d
 
 
-def local_offsets(model: Model, betas) -> np.ndarray:
-    """log det M(xi[beta], beta) of the cached local design at each node: the
-    standardizing offsets.  The designs are stacked into (J, n) points and
-    weights, a shorter one padded with zero-weight copies of its first point
-    (exact zeros in the extended-precision sums), for one score call and the
-    det_info kernel: each offset is Criterion.local(beta).log_efficiencies
-    of local_design(model, beta) bit for bit."""
+def local_stack(model: Model, betas):
+    """Checked local D-optimal designs at a 1-D array of J parameter values:
+    (J, n) points and weights, and the support sizes (positive weights per
+    row).  One analytic_local call, else the cached numeric local_design of
+    each value, a shorter one padded with zero-weight copies of its first
+    point.  BetaDomainError for a value outside the model's beta_range."""
     betas = np.asarray(betas, dtype=float)
-    designs = [local_design(model, float(b)) for b in betas]
-    counts = np.array([xi.n for xi in designs])
-    n = counts.max()
-    P = np.array([xi.points + xi.points[:1] * (n - xi.n) for xi in designs])
-    W = np.array([xi.weights + (0.0,) * (n - xi.n) for xi in designs])
-    model.check_points(np.unique(P))
-    d = det_stack(_score_stack(model, P, betas), W, counts, betas)
+    model.check_beta(betas)
+    if model.analytic_local is None:
+        designs = [local_design(model, float(b)) for b in betas]
+        n = max(xi.n for xi in designs)
+        P = np.array([xi.points + xi.points[:1] * (n - xi.n) for xi in designs])
+        W = np.array([xi.weights + (0.0,) * (n - xi.n) for xi in designs])
+    else:
+        P, W = model.analytic_local(betas)
+    model.check_points(P)
+    return P, W, np.count_nonzero(W > 0.0, axis=1)
+
+
+def local_dets(model: Model, design_betas, betas=None) -> np.ndarray:
+    """det M(xi[b_j], b) for the local designs xi[b_j] of :func:`local_stack`
+    at design_betas, from one score call and det_info's kernel det_stack
+    (a padding weight adds exact zeros to its extended-precision sums): at
+    b = b_j, shape (J,), by default, or at every b of betas, (len(betas), J)."""
+    P, W, counts = local_stack(model, design_betas)
+    if betas is None:
+        return det_stack(stacked_scores(model, P, design_betas), W, counts,
+                         design_betas)
+    model.check_beta(betas)
+    k, (J, n) = len(betas), P.shape
+    F = stacked_scores(model, P.ravel(), betas).reshape(k * J, n, model.m)
+    d = det_stack(F, np.tile(W, (k, 1)), np.tile(counts, k), np.repeat(betas, J))
+    return d.reshape(k, J)
+
+
+def local_offsets(model: Model, betas) -> np.ndarray:
+    """log det M(xi[beta], beta) of the local design at each node, the
+    standardizing offsets: Criterion.local(beta).log_efficiencies of
+    local_design(model, beta) bit for bit, from one :func:`local_dets` call."""
+    d = local_dets(model, betas)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(d > 0.0, np.log(d), NEG_INF)
 
@@ -392,7 +413,6 @@ class Criterion:
     def derivative(self, model: Model, design: DesignMeasure, x) -> np.ndarray:
         """Node-weighted directional derivative sum_j q_j d(x, xi, beta_j)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        _check_nodes(model, design, self.betas)
         total = np.zeros(len(x))
         for j, d in _node_derivatives(model, design, self.betas, x):
             total += self.q[j:j + len(d)] @ d
@@ -556,11 +576,13 @@ def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
 
 @functools.lru_cache(maxsize=None)
 def local_design(model: Model, beta: float) -> DesignMeasure:
-    """Local D-optimal design, via the fastest reliable route for the model:
-    the analytic design where the model has one, else the numeric solve,
-    which is the point-prior Bayes solve (solve_local -> solve_bayes)."""
+    """Local D-optimal design at one beta, checked first: the J = 1 slice of
+    :func:`local_stack` where the model has analytic_local, else the numeric
+    point-prior Bayes solve (solve_local -> solve_bayes)."""
     if model.analytic_local is not None:
-        return model.analytic_local(beta)
+        P, W, _ = local_stack(model, [beta])
+        keep = W[0] > 0.0
+        return DesignMeasure(P[0, keep], W[0, keep])
     design, cert = solve_local(model, beta)
     if not cert.passed:
         raise RuntimeError(f"local solve failed certification for beta={beta}")

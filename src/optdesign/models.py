@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .design import DesignMeasure, det_info
+from .design import DesignMeasure
 
 
 class BetaDomainError(ValueError):
@@ -32,6 +32,12 @@ class Model:
     broadcasts against ``beta`` and the parameter axis is last.  The solvers
     call it through :meth:`score_matrix`, once per array of parameter
     values, to get all score matrices as a ``(J, n, m)`` stack.
+
+    ``analytic_local(betas)``, if given, maps a 1-D array of J parameter
+    values to the local D-optimal designs as ``(J, n)`` arrays of points and
+    weights; zero weights pad a shorter design.  Without it local designs
+    come from the numeric solve.  The built-in oracles also map a scalar
+    beta to its :class:`DesignMeasure`.
     """
 
     name: str
@@ -40,7 +46,7 @@ class Model:
     design_interval: tuple
     beta_range: tuple
     score: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
-    analytic_local: Optional[Callable[[float], DesignMeasure]] = field(
+    analytic_local: Optional[Callable[[np.ndarray], tuple]] = field(
         default=None, repr=False
     )
     fixed_support: tuple = ()
@@ -55,18 +61,22 @@ class Model:
             if not lo <= x <= hi:
                 raise ValueError(f"fixed support point {x} outside design interval")
 
-    def check_beta(self, beta: float) -> None:
+    def check_beta(self, beta) -> None:
+        """BetaDomainError unless beta (a scalar or an array) is finite and
+        in beta_range."""
         lo, hi = self.beta_range
-        if not (lo <= beta <= hi) or not math.isfinite(beta):
-            raise BetaDomainError(
-                f"beta={beta} outside admissible range [{lo}, {hi}] for {self.name}"
-            )
+        b = np.asarray(beta, dtype=float)
+        bad = ~(np.isfinite(b) & (lo <= b) & (b <= hi))
+        if bad.any():
+            raise BetaDomainError(f"beta={b[bad][0]} outside admissible range "
+                                  f"[{lo}, {hi}] for {self.name}")
 
     def check_points(self, points) -> None:
         lo, hi = self.design_interval
-        for x in points:
-            if not lo - 1e-12 <= x <= hi + 1e-12:
-                raise ValueError(f"design point {x} outside interval [{lo}, {hi}]")
+        x = np.asarray(points, dtype=float)
+        bad = ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))
+        if bad.any():
+            raise ValueError(f"design point {x[bad][0]} outside interval [{lo}, {hi}]")
 
     def score_matrix(self, x: np.ndarray, beta) -> np.ndarray:
         """Scores at many points: an (n, m) array for a scalar ``beta``; for
@@ -82,13 +92,25 @@ class Model:
         return F
 
 
+def _builtin_local(stack):
+    """A built-in oracle: stack maps a 1-D array of beta to the (J, n) points
+    and weights; a scalar beta gives its DesignMeasure."""
+
+    def local(beta):
+        if np.ndim(beta) == 0:
+            P, W = stack(np.array([float(beta)]))
+            return DesignMeasure(P[0], W[0])
+        return stack(np.asarray(beta, dtype=float))
+
+    return local
+
+
 def _exp1_score(x, beta):
     return (x * np.exp(-beta * x))[..., None]
 
 
-def _exp1_local(beta):
-    lo, hi = 0.0, 1.0
-    return DesignMeasure.point_mass(min(max(1.0 / beta, lo), hi))
+def _exp1_local(betas):
+    return np.clip(1.0 / betas, 0.0, 1.0)[:, None], np.ones((len(betas), 1))
 
 
 def _exp2_score(x, beta):
@@ -96,8 +118,9 @@ def _exp2_score(x, beta):
     return np.stack([np.ones_like(e), -x * e], axis=-1)
 
 
-def _exp2_local(beta):
-    return DesignMeasure((0.0, min(1.0 / beta, 1.0)), (0.5, 0.5))
+def _exp2_local(betas):
+    P = np.stack([np.zeros(len(betas)), np.minimum(1.0 / betas, 1.0)], axis=1)
+    return P, np.full(P.shape, 0.5)
 
 
 def _exp3_score(x, beta):
@@ -107,32 +130,21 @@ def _exp3_score(x, beta):
     return np.stack([np.ones_like(e), e, -x * e], axis=-1)
 
 
-def _exp3_local_design(beta: float) -> DesignMeasure:
-    """Local D-optimal design of the three-parameter exponential model.
+def _exp3_local(betas):
+    """Local D-optimal designs of the three-parameter exponential model:
+    equal weights at {0, x*, 1}, x* the maximizer of h(0, x, 1, beta)^2.
 
-    Local optima have equal weights at {0, x*, 1}; x* maximizes the
-    three-point Gram determinant, a one-dimensional problem.
+    With s = e^{-beta}, h = e^{-beta x} (x (1 - s) + s) - s has the one
+    interior critical point x* = 1/beta - 1/(e^beta - 1).  Below beta = 0.05
+    that difference cancels, and x* is its Bernoulli series; both forms are
+    within 1e-14 of x* on the whole beta_range.
     """
-    from scipy.optimize import minimize_scalar
-
-    # bracket scan: h_function(0, x, 1, beta)^2 on the whole grid in one
-    # expression (e^{-beta * 0} = 1); only its argmax is used, to bracket
-    # the bounded refine of the scalar h_function below
-    xs = np.linspace(1e-6, 1.0 - 1e-6, 1001)
-    e2 = np.exp(-beta * xs)
-    e3 = math.exp(-beta)
-    vals = (xs * e2 * (1.0 - e3) + e3 * (e2 - 1.0)) ** 2
-    k = int(np.argmax(vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    res = minimize_scalar(
-        lambda xx: -h_function(0.0, xx, 1.0, beta) ** 2,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    third = 1.0 / 3.0
-    return DesignMeasure((0.0, float(res.x), 1.0), (third, third, third))
+    s = np.minimum(betas, 0.05)
+    series = 0.5 + s * (-1.0 / 12.0 + s * s * (1.0 / 720.0 - s * s / 30240.0))
+    direct = 1.0 / betas - np.exp(-betas) / -np.expm1(-betas)
+    x = np.where(betas < 0.05, series, direct)
+    P = np.stack([np.zeros_like(x), x, np.ones_like(x)], axis=1)
+    return P, np.full(P.shape, 1.0 / 3.0)
 
 
 def _logistic_score(x, beta):
@@ -145,8 +157,8 @@ def _logistic_score(x, beta):
 def make_logistic(x_max: float = 30.0) -> Model:
     """Binary-response model on [0, x_max]; the local optimum sits at beta."""
 
-    def local(beta):
-        return DesignMeasure.point_mass(min(max(beta, 0.0), x_max))
+    def local(betas):
+        return np.clip(betas, 0.0, x_max)[:, None], np.ones((len(betas), 1))
 
     return Model(
         name="logistic",
@@ -155,7 +167,7 @@ def make_logistic(x_max: float = 30.0) -> Model:
         design_interval=(0.0, x_max),
         beta_range=(0.0, math.inf),
         score=_logistic_score,
-        analytic_local=local,
+        analytic_local=_builtin_local(local),
     )
 
 
@@ -166,7 +178,7 @@ EXP1 = Model(
     design_interval=(0.0, 1.0),
     beta_range=(1e-12, math.inf),
     score=_exp1_score,
-    analytic_local=_exp1_local,
+    analytic_local=_builtin_local(_exp1_local),
 )
 
 EXP2 = Model(
@@ -176,7 +188,7 @@ EXP2 = Model(
     design_interval=(0.0, 1.0),
     beta_range=(1e-12, math.inf),
     score=_exp2_score,
-    analytic_local=_exp2_local,
+    analytic_local=_builtin_local(_exp2_local),
     fixed_support=(0.0,),
 )
 
@@ -187,7 +199,7 @@ EXP3 = Model(
     design_interval=(0.0, 1.0),
     beta_range=(1e-12, math.inf),
     score=_exp3_score,
-    analytic_local=_exp3_local_design,
+    analytic_local=_builtin_local(_exp3_local),
     fixed_support=(0.0, 1.0),
 )
 
@@ -206,23 +218,18 @@ def get_model(name: str) -> Model:
 def q_efficiency(model: Model, beta: float, beta_tilde: float) -> float:
     """Information loss Q = det M(xi[beta_tilde], beta) / det M(xi[beta], beta).
 
-    Local designs come from :func:`local.local_design`: the model's analytic
-    oracle, else the numeric solve.  A singular numerator yields 0; a
-    singular denominator is a hard error (the local design must be
-    nonsingular), and so is a non-finite determinant on either side
-    (ArithmeticError from det_info).
+    Both determinants come from one :func:`local.local_dets` call: the
+    model's analytic oracle, else the numeric solve.  A singular numerator
+    yields 0; a singular denominator is a hard error (the local design must
+    be nonsingular), and so is a non-finite determinant on either side
+    (ArithmeticError from det_stack).
     """
-    from .local import local_design
+    from .local import local_dets
 
-    model.check_beta(beta)
-    model.check_beta(beta_tilde)
-    num = det_info(local_design(model, beta_tilde), model, beta)
-    den = det_info(local_design(model, beta), model, beta)
+    num, den = local_dets(model, [beta_tilde, beta], [beta])[0]
     if den <= 0.0:
         raise ArithmeticError("singular denominator: local design is not D-optimal")
-    if num <= 0.0:
-        return 0.0
-    return num / den
+    return float(num / den) if num > 0.0 else 0.0
 
 
 def q_exp1_closed(beta: float, beta_tilde: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bayes import ParameterPrior, bayes_criterion, solve_bayes
 from .design import DesignMeasure, det_info, gram_determinant
-from .local import band_mixture, local_design, local_offsets
+from .local import band_mixture, local_dets, local_offsets
 from .maximin import BetaGrid, maximin_criterion, solve_maximin, support_count
 from .models import Model
 from .scales import ScaleFunction
@@ -74,12 +74,11 @@ class TheoryReport:
 def _pairwise_q(model: Model, betas: np.ndarray) -> np.ndarray:
     """Q(beta_i, beta_j) for all sample pairs, as a (k, k) array.
 
-    Column j is det M(xi[beta_j], beta_i) over all beta_i, one stacked
-    det_info call; its diagonal holds the denominators.  A singular
-    numerator gives Q = 0; a singular denominator raises.
+    Column j is det M(xi[beta_j], beta_i) over all beta_i, one
+    :func:`local_dets` call; its diagonal holds the denominators.  A
+    singular numerator gives Q = 0; a singular denominator raises.
     """
-    num = np.column_stack(
-        [det_info(local_design(model, float(bt)), model, betas) for bt in betas])
+    num = local_dets(model, betas, betas)
     den = np.diagonal(num)
     if not np.all(den > 0.0):
         raise ArithmeticError("singular denominator: local design is not D-optimal")
@@ -139,16 +138,6 @@ def check_uniform_decrease(
     )
 
 
-def _dominating_betas(model: Model, x_tuple, beta_lo: float, beta_hi: float):
-    """Parameter guesses whose local designs dominate the Gram determinant
-    at the given point tuple (one guess per nonzero coordinate)."""
-    out = []
-    for xv in x_tuple:
-        if xv > 0.0:
-            out.append(min(max(1.0 / xv, beta_lo), beta_hi))
-    return out or [beta_lo]
-
-
 def check_condition_2_9(
     model: Model, x_samples, beta_grid
 ) -> TheoryReport:
@@ -158,20 +147,29 @@ def check_condition_2_9(
     at the fixed support for the partially linear models, the
     scaled-information bound for the scalar model) and reports the smallest
     constant c0 that makes the determinant-sum form hold over the sampled
-    domain.  Each determinant is one stacked call over the parameter grid.
+    domain.  Each determinant is one stacked call over the parameter grid,
+    and the local designs of all tuples one :func:`local_dets` call.
     """
     betas = np.asarray(beta_grid, dtype=float)
     b_lo, b_hi = float(betas.min()), float(betas.max())
     tuples = [tuple(float(v) for v in x_tuple) for x_tuple in x_samples]
+    X = np.array(tuples).reshape(len(tuples), -1)
+    with np.errstate(divide="ignore"):
+        guess = np.clip(1.0 / X, b_lo, b_hi)  # the local design at 1/x
+    # the determinant-sum form: one guess per positive coordinate; a tuple
+    # without one keeps its first (beta_hi), and its Gram determinant is 0
+    use = X > 0.0
+    use[~use.any(axis=1), 0] = True
+    sums = (local_dets(model, guess.ravel(), betas).reshape(len(betas), *X.shape)
+            * use).sum(axis=2)
     violations = 0
     worst = -math.inf
     c0 = 0.0
-    for x_tuple in tuples:
+    for i, x_tuple in enumerate(tuples):
         im = gram_determinant(x_tuple, model, betas)
         if model.name == "exp1":
             # scalar model: the clipped local design dominates pointwise
-            bt = min(max(1.0 / x_tuple[0], b_lo), b_hi) if x_tuple[0] > 0 else b_hi
-            bound = det_info(local_design(model, bt), model, betas)
+            bound = sums[:, i]
         elif model.fixed_support:
             # partially linear models: each coordinate joined to the fixed
             # support dominates on its own
@@ -186,12 +184,9 @@ def check_condition_2_9(
         worst = float(np.max((worst, margin.max())))  # a NaN margin stays NaN
 
         # measured minimal c0 against the determinant-sum form
-        dets = sum(
-            det_info(local_design(model, bt), model, betas)
-            for bt in _dominating_betas(model, x_tuple, b_lo, b_hi))
-        ok = dets > 0.0
+        ok = sums[:, i] > 0.0
         if ok.any():
-            c0 = max(c0, float((im[ok] / dets[ok]).max()))
+            c0 = max(c0, float((im[ok] / sums[ok, i]).max()))
     return TheoryReport(
         name="gram-dominance",
         domain=f"{model.name}, {len(tuples)} tuples x {len(betas)} parameters",

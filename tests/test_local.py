@@ -49,7 +49,7 @@ from optdesign.local import (
     stacked_scores,
 )
 from optdesign.maximin import _polish_minimax
-from optdesign.models import _exp3_local_design, h_function
+from optdesign.models import h_function
 from optdesign.scales import logarithm
 from optdesign.theory import construct_lower_bound_design
 
@@ -196,14 +196,20 @@ class TestDirectionalDerivative:
             )
 
     def test_certify_fails_closed_far_below_the_design_beta(self):
-        # at beta = 1e-4 the double-precision inverse is noise: the
-        # derivative stays below m = 3, but its xi-average is not 3
+        # far below its own beta the design's M is nearly singular, but the
+        # derivative from the QR factor of the weighted scores still holds:
+        # an 80-digit evaluation of this design peaks at 3.92625 (x = 0.54)
+        # at beta = 1e-4 and at 3.92635 at 1e-6, where the rounded scores
+        # themselves leave about 3 digits
         design = local_design(EXP3, 2.0)
-        cert = certify(EXP3, design, Criterion.local(1e-4))
-        assert cert.max_directional_derivative < EXP3.m
-        assert not cert.passed
+        for beta, tol in ((1e-4, 1e-3), (1e-6, 2e-2)):
+            cert = certify(EXP3, design, Criterion.local(beta))
+            assert not cert.passed
+            assert abs(cert.max_directional_derivative - 3.926) <= tol
+        # a design on fewer than m points is singular by structure
         with pytest.raises(SingularInformationError):
-            certify(EXP3, design, Criterion.local(1e-6))
+            certify(EXP3, DesignMeasure((0.0, 1.0), (0.5, 0.5)),
+                    Criterion.local(1e-4))
 
 
 def _engine_problem(model, nodes=6, count=201):
@@ -347,10 +353,12 @@ def _one_or_two_point_model(m, name):
         e = np.exp(-beta * x)
         return np.stack([np.ones_like(e), -x * e][2 - m:], axis=-1)
 
-    def local(beta):
-        if beta < 5.0:
-            return DesignMeasure.point_mass(0.5)
-        return DesignMeasure((0.0, 1.0 / beta), (0.4, 0.6))
+    def local(betas):
+        two = betas >= 5.0
+        P = np.stack([np.where(two, 0.0, 0.5), np.where(two, 1.0 / betas, 0.5)],
+                     axis=1)
+        W = np.stack([np.where(two, 0.4, 1.0), np.where(two, 0.6, 0.0)], axis=1)
+        return P, W
 
     return Model(name=name, m=m, m_eta=0, design_interval=(0.0, 1.0),
                  beta_range=(1e-12, math.inf), score=score,
@@ -495,6 +503,14 @@ class TestLeastFavorableLP:
             atol=1e-7 * np.abs(dmat).max())
 
 
+def _h_extended(x, beta):
+    """h(0, x, 1, beta) in extended precision: the double h_function
+    cancels to about 1e-12 relative near beta = 0.01."""
+    x, beta = np.longdouble(x), np.longdouble(beta)
+    e2, e3 = np.exp(-beta * x), np.exp(-beta)
+    return x * e2 * (1 - e3) + e3 * (e2 - 1)
+
+
 def _exp3_reference_design(beta):
     """The EXP3 local design from a scalar h_function scan of the bracket."""
     xs = np.linspace(1e-6, 1.0 - 1e-6, 1001)
@@ -511,10 +527,19 @@ def _exp3_reference_design(beta):
 
 
 class TestExp3LocalDesign:
-    def test_vectorized_scan_matches_scalar_scan(self):
-        for beta in np.geomspace(0.01, 5000.0, 200):
-            beta = float(beta)
-            assert _exp3_local_design(beta) == _exp3_reference_design(beta)
+    def test_closed_form_is_the_scalar_search_maximizer(self):
+        # the search stops up to 7.9e-7 from the exact maximizer (near
+        # beta = 0.012): the closed form must do at least as well
+        betas = np.geomspace(0.01, 5000.0, 200)
+        P, W = EXP3.analytic_local(betas)
+        assert np.all(P[:, [0, 2]] == [0.0, 1.0]) and np.all(W == 1.0 / 3.0)
+        for beta, x in zip(betas.tolist(), P[:, 1].tolist()):
+            ref = _exp3_reference_design(beta).points[1]
+            assert (_h_extended(x, beta) ** 2
+                    >= _h_extended(ref, beta) ** 2 * (1.0 - 1e-12))
+            assert abs(x - ref) <= 1e-6
+        x = EXP3.analytic_local(np.array([1e-12, 1e-8, 1e-4, 1.0, 700.0, 1e6]))[0]
+        assert np.all(np.isfinite(x)) and np.all((x[:, 1] > 0.0) & (x[:, 1] <= 0.5))
 
 
 class TestRefine:

@@ -39,7 +39,8 @@ def _nan_at_half_model():
     return Model(name="nan-at-half", m=1, m_eta=0,
                  design_interval=(0.0, 1.0), beta_range=(1e-12, math.inf),
                  score=score,
-                 analytic_local=lambda b: DesignMeasure.point_mass(0.5))
+                 analytic_local=lambda b: (np.full((len(b), 1), 0.5),
+                                           np.ones((len(b), 1))))
 
 
 class TestModelSpec:
@@ -59,6 +60,18 @@ class TestModelSpec:
             EXP1.check_beta(-1.0)
         with pytest.raises(BetaDomainError):
             LOGISTIC.check_beta(float("nan"))
+        with pytest.raises(BetaDomainError, match="beta=0.0"):
+            EXP1.check_beta(np.array([1.0, 0.0, 2.0]))
+        EXP1.check_beta(np.geomspace(1e-12, 1e300, 7))
+
+    def test_local_designs_check_the_domain(self):
+        # the analytic oracles would divide by zero or return a point
+        # mass at 0 for these values: every entry point checks first
+        for beta in (0.0, -1.0):
+            with pytest.raises(BetaDomainError):
+                local_design(EXP1, beta)
+        with pytest.raises(BetaDomainError):
+            Criterion.maximin(EXP1, [0.0, 1.0])
 
     def test_fixed_support_arity_validated(self):
         with pytest.raises(ValueError):
@@ -75,7 +88,8 @@ class TestModelSpec:
     def test_logistic_interval_configurable(self):
         m = make_logistic(12.0)
         assert m.design_interval == (0.0, 12.0)
-        assert m.analytic_local(20.0).points[0] == 12.0
+        P, W = m.analytic_local(np.array([20.0, 5.0]))
+        assert P.tolist() == [[12.0], [5.0]] and W.tolist() == [[1.0], [1.0]]
 
 
 def _domain_draws(model):
