@@ -2,13 +2,14 @@
 
 The criterion is the prior average of log det M(xi, beta); its standardized
 form subtracts each node's local optimum, a design-independent constant.
-The solver seeds :func:`local.refine` with cutting-plane weights on the
-support of the mixture of local designs; a point-mass prior gives the local
-solver.
+The solver seeds :func:`local.refine` with the optimal weights of a few
+candidate points, the support of the mixture of local designs; a point-mass
+prior gives the local solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,7 +25,6 @@ from .design import (
 from .local import (
     Criterion,
     GridSpec,
-    _newton_weights,
     _seed_mixture_weights,
     build_grid,
     info_stack,
@@ -102,10 +102,18 @@ class ParameterPrior:
         return (self.params[0], self.params[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """n-node Gauss-Legendre rule on [-1, 1], read-only: callers share it."""
+    t, wt = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
 def _composite(edges: np.ndarray, per: int):
     """Composite Gauss-Legendre rule, per nodes on each panel between
     consecutive edges; the weights integrate Lebesgue measure."""
-    t, wt = np.polynomial.legendre.leggauss(per)
+    t, wt = _gauss_legendre(per)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = edges[:-1, None] + half * (t + 1.0)
     return nodes.ravel(), (half * wt).ravel()
@@ -132,7 +140,7 @@ def quadrature(prior: ParameterPrior):
             per = max(prior.quadrature_nodes // npanels, 2)
             nodes, weights = _composite(np.geomspace(lo, hi, npanels + 1), per)
             return nodes, weights / (hi - lo)
-        t, wt = np.polynomial.legendre.leggauss(prior.quadrature_nodes)
+        t, wt = _gauss_legendre(prior.quadrature_nodes)
         nodes = lo + 0.5 * (hi - lo) * (t + 1.0)
         weights = 0.5 * wt  # density 1/(hi-lo) times jacobian (hi-lo)/2
         return nodes, weights
@@ -184,7 +192,8 @@ def _polish_bayes(model: Model, crit: Criterion, points, weights):
     """Continuous refinement of support locations and weights for the
     node-averaged log-determinant criterion, then the exact weight solve on
     the merged support, so that the returned weights are the optimum of the
-    returned points."""
+    returned points, less those it weights 0.  A merged point within 1e-12
+    (hi - lo) of an end moves onto it first: SLSQP leaves residue like 4e-17."""
     from scipy.optimize import minimize
 
     nodes, qw = crit.betas, crit.q
@@ -213,9 +222,11 @@ def _polish_bayes(model: Model, crit: Criterion, points, weights):
     wts = np.clip(z[k:], 0.0, None)
     design = default_merge(DesignMeasure.from_arrays(z[:k], wts / wts.sum()), model)
     pts = design.points_array()
-    wts = _newton_weights(
-        stacked_scores(model, pts, nodes), qw, design.weights_array(), model.m)
-    return DesignMeasure.from_arrays(pts, wts)
+    eps = 1e-12 * (hi - lo)
+    pts = np.where(pts - lo <= eps, lo, np.where(hi - pts <= eps, hi, pts))
+    wts = maximize_weighted_logdet(
+        stacked_scores(model, pts, nodes), qw, design.weights_array(), model.m)[0]
+    return DesignMeasure.from_arrays(pts[wts > 0.0], wts[wts > 0.0])
 
 
 def solve_bayes(
@@ -225,11 +236,10 @@ def solve_bayes(
 
     The candidates are the grid points that carry at least half a uniform
     weight in the mixture of local designs between the prior's extreme
-    nodes, and their weights come from the cutting planes of
-    :func:`local.maximize_weighted_logdet` on those points alone.  Without
-    analytic local designs, or with a node <= 0, the cutting planes run on
-    the whole grid from uniform weights.  A point-mass prior gives the
-    local design (:func:`solve_local`).
+    nodes, weighted by :func:`local.maximize_weighted_logdet` from the
+    mixture.  Without analytic local designs, or with a node <= 0, they are
+    21 evenly spaced grid points plus the fixed support, from uniform
+    weights.  A point-mass prior gives the local design (:func:`solve_local`).
     """
     crit = prior_criterion(model, prior)
     nodes, qw = crit.betas, crit.q
@@ -240,14 +250,15 @@ def solve_bayes(
         extra.extend(P[W > 0.0])
     x = build_grid(model.design_interval, grid, extra_points=extra)
     if model.analytic_local is None or ends[0] <= 0.0:
-        keep, w0 = slice(None), np.full(len(x), 1.0 / len(x))
+        keep = np.isin(x, model.fixed_support)
+        keep[np.linspace(0, len(x) - 1, 21).round().astype(int)] = True
+        w0 = np.ones(len(x))
     else:
         w0 = _seed_mixture_weights(model, ends, x)
         keep = w0 >= 0.5 / len(x)
-        w0 = w0[keep]
     w = np.zeros(len(x))
     w[keep] = maximize_weighted_logdet(stacked_scores(model, x[keep], nodes),
-                                       qw, w0, model.m, tol=1e-7)[0]
+                                       qw, w0[keep], model.m)[0]
     return refine(model, crit, x, w, _polish_bayes)
 
 

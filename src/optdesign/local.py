@@ -2,9 +2,9 @@
 
 Every criterion is a :class:`Criterion`.  A solve puts seed weights on an
 x-grid and finishes in :func:`refine`, the polish-certify-exchange loop
-audited by :func:`certify`.  Bayes seed weights come from
-:func:`maximize_weighted_logdet`, Kelley's cutting planes on the q-weighted
-mean of log-determinants.  A local design is the Bayes design of a
+audited by :func:`certify`.  Design weights for the q-weighted mean of
+log-determinants come from :func:`maximize_weighted_logdet`, a damped Newton
+solve on a few candidate points.  A local design is the Bayes design of a
 point-mass prior: :func:`solve_local` runs that solve.
 """
 
@@ -32,9 +32,7 @@ from .scales import ScaleFunction, logarithm
 
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
-_KELLEY_TOL = 1e-9  # cutting planes: relative gap between the bounds
-_KELLEY_ROUNDS = 60  # cutting planes: round cap (hit by 20/186 in BENCH_18)
-_NEWTON_ITERS = 60  # Newton steps of the weight solve on a fixed support
+_NEWTON_ITERS = 60  # Newton steps of the weight solve
 _EXCHANGE_ROUNDS = 8  # refine: polish-certify-exchange rounds
 _EXCHANGE_WEIGHT = 0.03  # refine: weight shared by the inserted audit points
 _EXCHANGE_NEAR = 1e-6  # refine: a peak this near the support is not inserted
@@ -45,10 +43,6 @@ _GAME_TOL = 1e-12  # matrix game: generation tolerance, relative to max|dmat|
 # duals 8e-8 off, and its mu 1.4e-8 above the game value
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
-
-
-class InfeasibleGridError(RuntimeError):
-    """The grid cannot support a nonsingular information matrix."""
 
 
 class SingularInformationError(ArithmeticError):
@@ -119,57 +113,45 @@ def dirderiv_stack(Fs: np.ndarray, Ms: np.ndarray) -> np.ndarray:
     return (np.matmul(Fs, Minv) * Fs).sum(axis=2)
 
 
-def moment_matrix(Fs: np.ndarray) -> np.ndarray:
-    """Outer products f f^T of the score stack, shape (J*m*m, n): column k
-    holds f(x_k, beta_j) f(x_k, beta_j)^T for every j, so that the stack of
-    information matrices M_j(w) is (A @ w).reshape(J, m, m), one GEMV."""
-    J, n, m = Fs.shape
-    return np.einsum("jki,jkl->jilk", Fs, Fs).reshape(J * m * m, n)
+def maximize_weighted_logdet(Fs: np.ndarray, q: np.ndarray, w0: np.ndarray,
+                             m: int, tol: float = 1e-12):
+    """Design weights maximizing Phi(w) = sum_j q_j log det M_j(w) on the
+    probability simplex over the candidate columns of Fs.
 
+    Damped equality-constrained Newton (Boyd & Vandenberghe 2004, sec.
+    9.5-9.6) from w0: the step 1 / (1 + lambda), lambda the Newton
+    decrement, cut to 0.9 of the way to the simplex boundary.  A weight a
+    step drives below 1e-12 becomes exactly 0 and leaves the solve, so a
+    candidate whose optimal weight is 0 does not linger at 1e-60.  It stops
+    when the KKT residual max |d(x_i) - m| on the support, d = sum_j q_j
+    d_j, is at most tol * m, at a singular M, or after _NEWTON_ITERS steps;
+    no criterion value is compared, so slogdet rounding rejects no step.
 
-def moment_info(A: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
-    """info_stack from the moment matrix A: M_j(w) for every j, (J, m, m)."""
-    return (A @ w).reshape(-1, m, m)
-
-
-def moment_derivative(A: np.ndarray, q: np.ndarray, Ms: np.ndarray) -> np.ndarray:
-    """q @ dirderiv_stack from the moment matrix A: the weighted derivative
-    sum_j q_j f_j^T M_j^{-1} f_j at every grid point, one GEMV."""
-    return (q[:, None, None] * np.linalg.inv(Ms)).ravel() @ A
-
-
-def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
-    """Exact weight optimization on a fixed (small) support.
-
-    Damped equality-constrained Newton on the concave sum_j q_j log det
-    M_j(w), Sum w = 1 (Boyd & Vandenberghe 2004, sec. 9.5-9.6): the step
-    1 / (1 + lambda), lambda^2 = -delta^T H delta the Newton decrement, cut
-    to 0.9 of the way to the simplex boundary.  It stops when the KKT
-    residual max_i |d(x_i) - m| is at most 1e-12 m, or after _NEWTON_ITERS
-    steps; no criterion value is compared, so slogdet rounding never
-    rejects a step.
+    Returns (w, maxd, history): maxd is the largest d over all columns at w,
+    pruned ones included (inf at a singular M); history holds the KKT
+    residual of each step.
     """
-    s = len(wS)
-    w = np.clip(np.asarray(wS, dtype=float), 1e-14, None)
-    w /= w.sum()
-
+    w = np.asarray(w0, dtype=float) / np.sum(w0)
+    history = []
     for _ in range(_NEWTON_ITERS):
-        Ms = info_stack(Fs_S, w)
+        S = np.flatnonzero(w)
+        F, wS = Fs[:, S], w[S]
         try:
-            Minv = np.linalg.inv(Ms)
+            Minv = np.linalg.inv(info_stack(F, wS))
         except np.linalg.LinAlgError:
             break
-        B = np.matmul(np.matmul(Fs_S, Minv), Fs_S.transpose(0, 2, 1))
+        B = np.matmul(np.matmul(F, Minv), F.transpose(0, 2, 1))
         g = (q[:, None] * np.diagonal(B, axis1=1, axis2=2)).sum(axis=0)
-        if np.max(np.abs(g - m)) <= 1e-12 * m:
+        history.append(float(np.max(np.abs(g - m))))
+        if history[-1] <= tol * m:
             break
         H = -(q[:, None, None] * B * B).sum(axis=0)
+        s = len(S)
         kkt = np.ones((s + 1, s + 1))
         kkt[:s, :s] = H - 1e-12 * max(1.0, float(np.abs(H).max())) * np.eye(s)
         kkt[s, s] = 0.0
-        rhs = np.concatenate((-g, [0.0]))
         try:
-            delta = np.linalg.solve(kkt, rhs)[:s]
+            delta = np.linalg.solve(kkt, np.r_[-g, 0.0])[:s]
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(delta)):
@@ -177,76 +159,15 @@ def _newton_weights(Fs_S: np.ndarray, q: np.ndarray, wS: np.ndarray, m: int):
         step = 1.0 / (1.0 + math.sqrt(max(-float(delta @ H @ delta), 0.0)))
         neg = delta < 0
         if neg.any():
-            step = min(step, 0.9 * np.min(-w[neg] / delta[neg]))
-        w = w + step * delta
-        w /= w.sum()
-    return w
-
-
-def maximize_weighted_logdet(
-    Fs: np.ndarray,
-    q: np.ndarray,
-    w0: np.ndarray,
-    m: int,
-    tol: float = _KELLEY_TOL,
-):
-    """Kelley's cutting planes (Kelley 1960; Pronzato & Pazman 2013, ch. 9)
-    for the grid problem: maximize the mean Phi(w) = sum_j q_j log det M_j(w)
-    over the probability simplex.
-
-    Each round evaluates Phi at the query point w_k.  A singular query point
-    (an LP vertex on < m points, whose rounded det may read > 0) moves to
-    its midpoint with the incumbent w*, where M >= M(w*)/2 > 0; w0 must be
-    nonsingular.  The round then adds the tangent plane of the concave Phi
-    at w_k on the simplex (sum_i w_k,i D(x_i) = m, sum_i w_i = 1), the cut
-    sum_i w_i (Phi(w_k) + D(x_i) - m), where D = sum_j q_j d_j.  The next
-    query point solves the cut game, warm-started from the previous game's
-    support rows and binding cuts.  Its value bounds the optimum from above
-    and the best Phi seen from below; the loop stops when the gap is at most
-    tol * max(1, |Phi(w*)|), or after _KELLEY_ROUNDS rounds.  Every M_j(w)
-    and D come from one moment matrix, one GEMV each.
-
-    Returns (w*, maxd, history): maxd is the largest of D at w* over the
-    grid points, and history holds one (incumbent, game value) pair per
-    round.
-    """
-    A = moment_matrix(Fs)
-
-    def evaluate(w):
-        Ms = moment_info(A, w, m)
-        return Ms, logdet_stack(Ms)
-
-    w = np.clip(np.asarray(w0, dtype=float), 0.0, None)
-    w = best_w = w / w.sum()
-    lower, upper, maxd = -math.inf, math.inf, math.nan
-    # negated cuts: the game of _least_favorable_lp minimizes its largest entry
-    cuts = np.empty((0, Fs.shape[1]))
-    rows = cols = None
-    history = []
-    for _ in range(_KELLEY_ROUNDS):
-        Ms, g = evaluate(w)
-        if np.count_nonzero(w) < m or not np.all(np.isfinite(g)):
-            if not history:
-                raise InfeasibleGridError("initial weights give a singular matrix")
-            w = 0.5 * (w + best_w)
-            Ms, g = evaluate(w)
-        phi, d = float(q @ g), moment_derivative(A, q, Ms)
-        if phi > lower:
-            lower, best_w, maxd = phi, w, float(d.max())
-        cuts = np.concatenate((cuts, (m - phi - d)[None]))
-        if rows is not None:
-            cols = np.r_[cols, len(cuts) - 1]
-        w = _least_favorable_lp(cuts.T, rows, cols)
-        vals = cuts @ w
-        # the true game values never increase and never fall below lower
-        upper = min(upper, max(lower, -float(vals.max())))
-        history.append((lower, upper))
-        slack = tol * max(1.0, abs(lower))
-        if upper - lower <= slack:
-            break
-        rows = np.flatnonzero(w)
-        cols = np.flatnonzero(vals >= vals.max() - slack)
-    return best_w, maxd, history
+            step = min(step, 0.9 * np.min(-wS[neg] / delta[neg]))
+        wS = wS + step * delta
+        wS[wS < 1e-12] = 0.0
+        w[S] = wS / wS.sum()
+    try:
+        maxd = float((q @ dirderiv_stack(Fs, info_stack(Fs, w))).max())
+    except np.linalg.LinAlgError:
+        maxd = math.inf
+    return w, maxd, history
 
 
 def band_mixture(model: Model, scale: ScaleFunction, beta_min: float,
@@ -438,17 +359,15 @@ def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return res.x[:A], -res.ineqlin.marginals, float(res.x[-1])
 
 
-def _least_favorable_lp(dmat: np.ndarray, rows=None, cols=None):
+def _least_favorable_lp(dmat: np.ndarray):
     """Probability vector mu over the rows of dmat minimizing the largest
     entry of mu^T dmat: a matrix game solved as a linear program.
 
     In the Wong audit the rows are the active betas and the columns the
-    audit points; the scalar maximin grid solve and the cut games of
-    :func:`maximize_weighted_logdet` also use it.
+    audit points; the scalar maximin grid solve also uses it.
 
     The optimal strategies live on a few rows and columns, so the game is
-    solved by row and column generation (Kelley's cutting planes).  The
-    restricted game starts on the index arrays rows and cols, by default
+    solved by row and column generation.  The restricted game starts on
     every _GAME_STRIDE-th row and column plus the last.  Each round adds
     every column c with (mu^T dmat)_c > t + tol and every row r with
     (dmat p)_r < t - tol, where t is the restricted value and p the
@@ -468,8 +387,8 @@ def _least_favorable_lp(dmat: np.ndarray, rows=None, cols=None):
     tol = _GAME_TOL * max(float(dmat.max()), -float(dmat.min()))  # max|dmat|
     in_rows = np.zeros(A, dtype=bool)
     in_cols = np.zeros(n, dtype=bool)
-    in_rows[np.r_[0:A:_GAME_STRIDE, A - 1] if rows is None else rows] = True
-    in_cols[np.r_[0:n:_GAME_STRIDE, n - 1] if cols is None else cols] = True
+    in_rows[np.r_[0:A:_GAME_STRIDE, A - 1]] = True
+    in_cols[np.r_[0:n:_GAME_STRIDE, n - 1]] = True
     while True:
         rows, cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
         mu_r, p_c, t = _restricted_game(dmat, rows, cols)

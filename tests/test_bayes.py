@@ -12,6 +12,7 @@ from optdesign import (
     EXP3,
     LOGISTIC,
     DesignMeasure,
+    GridSpec,
     ParameterPrior,
     averaged_directional_derivative,
     bayes_a_criterion,
@@ -25,7 +26,7 @@ from optdesign import (
 )
 import optdesign.bayes
 import optdesign.local
-from optdesign.bayes import POS_INF, prior_criterion
+from optdesign.bayes import POS_INF, _gauss_legendre, prior_criterion
 from optdesign.local import SingularInformationError
 
 
@@ -67,6 +68,14 @@ class TestQuadrature:
         np.testing.assert_allclose(qw.sum(), 1.0, rtol=1e-12)
         np.testing.assert_allclose(qw @ nodes, 1500.5, rtol=1e-8)
         assert np.count_nonzero(nodes < 10.0) > 20
+
+    def test_rule_is_cached_read_only(self):
+        t, wt = _gauss_legendre(200)
+        again = _gauss_legendre(200)
+        assert again[0] is t and again[1] is wt
+        for arr in (t, wt):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_truncated_exponential_mean(self):
         a = 0.5
@@ -215,7 +224,24 @@ class TestSeededSolve:
         model = dataclasses.replace(EXP1, analytic_local=None)
         design, cert = solve_bayes(model, ParameterPrior.uniform(1.0, 50.0))
         assert cert.passed and design.n == 2
-        assert seen == [2001]  # one engine call, on the whole grid
+        # the first call weights 21 grid points and the fixed support
+        assert seen[0] <= 21 + len(model.fixed_support)
+
+    def test_coarse_start_has_no_duplicate_columns(self, monkeypatch):
+        seen = _engine_columns(monkeypatch)
+        model = dataclasses.replace(EXP2, analytic_local=None)
+        solve_bayes(model, ParameterPrior.uniform(1.0, 3.0), GridSpec(count=11))
+        assert seen[0] == 11
+
+    # no certified design is known for these priors: the solve must fail
+    # closed, with a failed certificate or the documented error
+    @pytest.mark.parametrize("a", [0.5, 0.001])
+    def test_exp3_truncated_exponential_fails_closed(self, a):
+        try:
+            _, cert = solve_bayes(EXP3, ParameterPrior.trunc_exp(a))
+        except SingularInformationError:
+            return
+        assert not cert.passed
 
     def test_failed_solve_returns_its_best_round(self, monkeypatch):
         # the exchange rounds of this wide prior alternate between designs;
