@@ -141,25 +141,29 @@ def _det_closed(a: np.ndarray):
     return float(d) if np.ndim(d) == 0 else d.astype(float)
 
 
-def stacked_scores(model, x: np.ndarray, betas) -> np.ndarray:
+def stacked_scores(model, x: np.ndarray, betas, dx: bool = False) -> np.ndarray:
     """Score matrices at the points x for each beta, shape (J, n, m): x of
     shape (n,) is shared by every beta, x of shape (J, n) holds one row of
-    points per beta.
+    points per beta; with dx, their x-derivatives from ``model.score_dx``.
 
     One broadcast call of ``model.score`` through ``model.score_matrix``;
     see :class:`Model` for the contract (``x`` broadcasts against ``beta``,
-    parameter axis last).
+    parameter axis last), which ``score_dx`` shares.
     """
     x = np.asarray(x, dtype=float)
     betas = np.asarray(betas, dtype=float)
     want = (len(betas), x.shape[-1], model.m)
+    what = "score_dx" if dx else "score"
     contract = (
-        f"score of model {model.name!r} must broadcast x against beta and put "
+        f"{what} of model {model.name!r} must broadcast x against beta and put "
         f"the parameter axis last: x of shape {np.atleast_2d(x).shape} and "
         f"beta of shape ({len(betas)}, 1) should give {want}"
     )
     try:
-        Fs = np.asarray(model.score_matrix(x, betas))
+        if dx:
+            Fs = np.asarray(model.score_dx(np.atleast_2d(x), betas[:, None]))
+        else:
+            Fs = np.asarray(model.score_matrix(x, betas))
     except (ValueError, TypeError, IndexError) as exc:
         raise ValueError(f"{contract}; the call raised {exc!r}") from exc
     if Fs.shape != want:

@@ -340,11 +340,13 @@ class Criterion:
         return total
 
 
-def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Solve the game on dmat[rows][:, cols]: min t s.t. mu^T dmat <= t.
-    Returns (mu, p, t): the row mix mu and the column mix p, the duals of
-    the column constraints, both on the restricted index sets."""
-    sub = dmat[np.ix_(rows, cols)]
+def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     scale: float):
+    """Solve the game on dmat[rows][:, cols]: min t s.t. mu^T dmat <= t,
+    passed to HiGHS divided by scale.  Returns (mu, p, t): the row mix mu
+    and the column mix p, the duals of the column constraints, both on the
+    restricted index sets, and the value t of the unscaled game."""
+    sub = dmat[np.ix_(rows, cols)] / scale
     A, n = sub.shape
     c = np.zeros(A + 1)
     c[-1] = 1.0
@@ -356,7 +358,7 @@ def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray):
                   bounds=bounds, method="highs", options=_HIGHS_OPTIONS)
     if not res.success:
         raise RuntimeError(f"matrix game LP failed: {res.message}")
-    return res.x[:A], -res.ineqlin.marginals, float(res.x[-1])
+    return res.x[:A], -res.ineqlin.marginals, float(res.x[-1]) * scale
 
 
 def _least_favorable_lp(dmat: np.ndarray):
@@ -376,22 +378,28 @@ def _least_favorable_lp(dmat: np.ndarray):
     set grows.  The restricted LP bounds the in-set columns and rows,
     and the generation test the others, so then max(mu^T dmat) <= t + tol
     and min(dmat p) >= t - tol: mu and p are a primal-dual pair of the full
-    game within a gap of 2 tol, with tol = _GAME_TOL * max|dmat|, plus the
-    restricted solves' own error (_HIGHS_OPTIONS).  A non-finite entry
-    raises ArithmeticError before any LP: a NaN compares False and would
-    never enter a set.
+    game within a gap of 2 tol, plus the restricted solves' own error
+    (_HIGHS_OPTIONS), with tol = _GAME_TOL * max|dmat|.  HiGHS gets each
+    restricted game divided by max|dmat|, which has the same strategies:
+    unscaled, it ended the Wong audit of an EXP2 design on [1, 150] in
+    status 15.  A non-finite entry raises ArithmeticError before any LP (a
+    NaN compares False and would never enter a set), and so does an
+    all-zero payoff.
     """
     if not np.all(np.isfinite(dmat)):
         raise ArithmeticError("matrix game has a non-finite payoff")
+    scale = max(float(dmat.max()), -float(dmat.min()))  # max|dmat|
+    if scale == 0.0:
+        raise ArithmeticError("matrix game has an all-zero payoff")
     A, n = dmat.shape
-    tol = _GAME_TOL * max(float(dmat.max()), -float(dmat.min()))  # max|dmat|
+    tol = _GAME_TOL * scale
     in_rows = np.zeros(A, dtype=bool)
     in_cols = np.zeros(n, dtype=bool)
     in_rows[np.r_[0:A:_GAME_STRIDE, A - 1]] = True
     in_cols[np.r_[0:n:_GAME_STRIDE, n - 1]] = True
     while True:
         rows, cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
-        mu_r, p_c, t = _restricted_game(dmat, rows, cols)
+        mu_r, p_c, t = _restricted_game(dmat, rows, cols, scale)
         new_cols = ~in_cols & (mu_r @ dmat[rows] > t + tol)
         new_rows = ~in_rows & (dmat[:, cols] @ p_c < t - tol)
         if not (new_cols.any() or new_rows.any()):

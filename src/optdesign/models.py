@@ -38,6 +38,10 @@ class Model:
     weights; zero weights pad a shorter design.  Without it local designs
     come from the numeric solve.  The built-in oracles also map a scalar
     beta to its :class:`DesignMeasure`.
+
+    ``score_dx(x, beta)``, if given, is the x-derivative of ``score`` under
+    the same broadcast contract.  The maximin polish then has the exact
+    constraint Jacobian; without it SLSQP differences the constraints.
     """
 
     name: str
@@ -50,6 +54,9 @@ class Model:
         default=None, repr=False
     )
     fixed_support: tuple = ()
+    score_dx: Optional[Callable[[np.ndarray, float], np.ndarray]] = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self):
         if not 0 <= self.m_eta < self.m:
@@ -109,6 +116,10 @@ def _exp1_score(x, beta):
     return (x * np.exp(-beta * x))[..., None]
 
 
+def _exp1_score_dx(x, beta):
+    return ((1.0 - beta * x) * np.exp(-beta * x))[..., None]
+
+
 def _exp1_local(betas):
     return np.clip(1.0 / betas, 0.0, 1.0)[:, None], np.ones((len(betas), 1))
 
@@ -116,6 +127,11 @@ def _exp1_local(betas):
 def _exp2_score(x, beta):
     e = np.exp(-beta * x)
     return np.stack([np.ones_like(e), -x * e], axis=-1)
+
+
+def _exp2_score_dx(x, beta):
+    e = np.exp(-beta * x)
+    return np.stack([np.zeros_like(e), (beta * x - 1.0) * e], axis=-1)
 
 
 def _exp2_local(betas):
@@ -128,6 +144,11 @@ def _exp3_score(x, beta):
     # over designs, so criteria ratios and maximizers do not depend on it.
     e = np.exp(-beta * x)
     return np.stack([np.ones_like(e), e, -x * e], axis=-1)
+
+
+def _exp3_score_dx(x, beta):
+    e = np.exp(-beta * x)
+    return np.stack([np.zeros_like(e), -beta * e, (beta * x - 1.0) * e], axis=-1)
 
 
 def _exp3_local(betas):
@@ -154,6 +175,11 @@ def _logistic_score(x, beta):
     return (np.exp(a / 2.0) / (1.0 + np.exp(a)))[..., None]
 
 
+def _logistic_score_dx(x, beta):
+    # the score is f = 1/(2 cosh(u/2)), u = x - beta: f' = -f tanh(u/2)/2
+    return -_logistic_score(x, beta) * np.tanh((x - beta) / 2.0)[..., None] / 2.0
+
+
 def make_logistic(x_max: float = 30.0) -> Model:
     """Binary-response model on [0, x_max]; the local optimum sits at beta."""
 
@@ -167,6 +193,7 @@ def make_logistic(x_max: float = 30.0) -> Model:
         design_interval=(0.0, x_max),
         beta_range=(0.0, math.inf),
         score=_logistic_score,
+        score_dx=_logistic_score_dx,
         analytic_local=_builtin_local(local),
     )
 
@@ -178,6 +205,7 @@ EXP1 = Model(
     design_interval=(0.0, 1.0),
     beta_range=(1e-12, math.inf),
     score=_exp1_score,
+    score_dx=_exp1_score_dx,
     analytic_local=_builtin_local(_exp1_local),
 )
 
@@ -188,6 +216,7 @@ EXP2 = Model(
     design_interval=(0.0, 1.0),
     beta_range=(1e-12, math.inf),
     score=_exp2_score,
+    score_dx=_exp2_score_dx,
     analytic_local=_builtin_local(_exp2_local),
     fixed_support=(0.0,),
 )
@@ -199,6 +228,7 @@ EXP3 = Model(
     design_interval=(0.0, 1.0),
     beta_range=(1e-12, math.inf),
     score=_exp3_score,
+    score_dx=_exp3_score_dx,
     analytic_local=_builtin_local(_exp3_local),
     fixed_support=(0.0, 1.0),
 )

@@ -439,6 +439,34 @@ class TestLeastFavorableLP:
         with pytest.raises(ArithmeticError):
             _least_favorable_lp(d)
 
+    def test_all_zero_payoff_raises(self):
+        with pytest.raises(ArithmeticError, match="all-zero"):
+            _least_favorable_lp(np.zeros((4, 30)))
+
+    def test_mixed_strategy_ignores_the_payoff_scale(self):
+        # a power of two scales every entry exactly
+        d = _random_games()[5]
+        np.testing.assert_array_equal(_least_favorable_lp(d),
+                                      _least_favorable_lp(d * 2.0 ** 40))
+
+    def test_badly_conditioned_audit_game_solves(self):
+        # unscaled, the Wong audit's game of this EXP2 design (payoffs in
+        # [1, 6.27]) ended in HiGHS status 15 under 1 and 2 BLAS threads
+        points = [float.fromhex(h) for h in (
+            "0x1.751f76606c464p-57", "0x1.1be6f8582aacap-7",
+            "0x1.1691adca13cf8p-5", "0x1.6bc174c8e581fp-4",
+            "0x1.98a67cbb6131ep-3", "0x1.bbbca1e86ca2ap-2",
+            "0x1.0000000000000p+0")]
+        weights = [float.fromhex(h) for h in (
+            "0x1.4bd1cd76497cep-3", "0x1.5e833b31d5adfp-3",
+            "0x1.1034bb208f2a6p-3", "0x1.04518c0ae8b57p-3",
+            "0x1.16aec2afe588dp-3", "0x1.25d6064ead8e6p-3",
+            "0x1.049fe72dd5de4p-3")]
+        design = DesignMeasure.from_arrays(np.array(points), np.array(weights))
+        cert = certify(EXP2, design,
+                       Criterion.maximin(EXP2, BetaGrid(1.0, 150.0).values))
+        assert cert.least_favorable_weights
+
     @staticmethod
     def _check(dmat):
         mu = _least_favorable_lp(dmat)

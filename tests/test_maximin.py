@@ -10,15 +10,24 @@ from optdesign import (
     EXP1,
     EXP2,
     EXP3,
+    LOGISTIC,
     BetaGrid,
     DesignMeasure,
+    Model,
     maximin_criterion,
     q_efficiency,
     solve_local,
     solve_maximin,
     support_count,
 )
-from optdesign.local import Criterion, local_design
+from optdesign.design import det_stack
+from optdesign.local import (
+    Criterion,
+    SingularInformationError,
+    local_design,
+    stacked_scores,
+)
+from optdesign.maximin import _log_eff_jacobian
 from optdesign.models import q_exp1_closed
 
 
@@ -138,6 +147,26 @@ class TestSolveMaximin:
             n = math.ceil(math.log(B) / (2.0 * math.log(2.0)))
             assert phi >= 0.5 / n
 
+    def test_model_without_score_dx_differences_the_constraints(
+            self, maximin_results):
+        # an EXP1 clone without score_dx takes SLSQP's difference Jacobian
+        clone = Model(name="exp1-clone", m=1, m_eta=0,
+                      design_interval=EXP1.design_interval,
+                      beta_range=EXP1.beta_range, score=EXP1.score,
+                      analytic_local=EXP1.analytic_local)
+        design, cert = solve_maximin(clone, BetaGrid(1.0, 50.0))
+        want = maximin_results[50][0]
+        assert cert.passed and design.n == want.n
+        np.testing.assert_allclose(design.points, want.points, atol=1e-6)
+        np.testing.assert_allclose(design.weights, want.weights, atol=1e-6)
+
+    def test_singular_seed_starts_the_polish_at_a_finite_epigraph(self):
+        # the grid weights merge to one point, singular at some beta: the
+        # epigraph variable starts at the clamped -1e6, not at -inf, which
+        # SLSQP cannot difference without a RuntimeWarning
+        with pytest.raises(SingularInformationError):
+            solve_maximin(EXP1, BetaGrid(1.0, 1e5))
+
     def test_two_parameter_model_small_range(self):
         design, cert = solve_maximin(EXP2, BetaGrid(1.0, 4.0, count=40))
         assert cert.passed
@@ -163,6 +192,44 @@ class TestSolveMaximin:
         assert support_count(design) == points
         phi, _ = maximin_criterion(design, EXP2, grid)
         assert abs(phi - want) <= 1e-6
+
+
+class TestPolishJacobian:
+    @pytest.mark.parametrize("model, betas", [
+        (EXP1, BetaGrid(1.0, 50.0, 30).values),
+        (EXP2, BetaGrid(1.0, 50.0, 30).values),
+        (EXP3, BetaGrid(1.0, 20.0, 30).values),
+        (LOGISTIC, np.linspace(1.0, 20.0, 30)),
+    ], ids=["exp1", "exp2", "exp3", "logistic"])
+    def test_matches_central_differences(self, model, betas):
+        # the differenced constraint log det M_j - offset_j - t takes its
+        # determinants in extended precision: in double, EXP3's
+        # ill-conditioned M leaves differences good to about 1e-5 only
+        crit = Criterion.maximin(model, betas)
+        lo, hi = model.design_interval
+
+        def cons(z):
+            d = det_stack(stacked_scores(model, z[:6], betas), z[6:12], 6, betas)
+            return np.log(d) - crit.offsets - z[12]
+
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            z = np.r_[rng.uniform(lo, hi, 6), rng.dirichlet(np.ones(6)), -0.3]
+            jac = _log_eff_jacobian(model, crit, z)
+            num = np.empty_like(jac)
+            for i in range(13):
+                e = np.zeros(13)
+                e[i] = 1e-6 * ((hi - lo) if i < 6 else 1.0)
+                num[:, i] = (cons(z + e) - cons(z - e)) / ((z + e)[i] - (z - e)[i])
+            np.testing.assert_allclose(jac, num, rtol=0.0,
+                                       atol=1e-7 * np.abs(jac).max())
+
+    def test_singular_node_has_a_flat_row(self):
+        # one support point: M is singular at every beta for EXP2
+        betas = BetaGrid(1.0, 10.0, 5).values
+        z = np.r_[0.3, 0.3, 0.5, 0.5, -1e6]
+        jac = _log_eff_jacobian(EXP2, Criterion.maximin(EXP2, betas), z)
+        assert np.all(jac[:, :4] == 0.0) and np.all(jac[:, 4] == -1.0)
 
 
 class TestFallbackLog:

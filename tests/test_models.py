@@ -152,6 +152,46 @@ class TestBroadcastScores:
         np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
 
 
+class TestScoreDerivative:
+    @pytest.mark.parametrize("model, betas", [
+        (EXP1, [1e-3, 0.5, 3.0, 50.0, 500.0]),
+        (EXP2, [1e-3, 0.5, 3.0, 50.0, 500.0]),
+        (EXP3, [1e-3, 0.5, 3.0, 50.0, 500.0]),
+        (make_logistic(1000.0), [0.0, 3.0, 17.5, 500.0]),
+    ], ids=["exp1", "exp2", "exp3", "logistic"])
+    def test_matches_central_differences(self, model, betas):
+        lo, hi = model.design_interval
+        for beta in betas:
+            # both ends, the interior and, for the logistic model, x = beta
+            x = np.unique(np.r_[np.linspace(lo, hi, 41), beta])
+            x = x[x <= hi]
+            # a step relative to the score's x-scale: 1/beta for the
+            # exponential models, 1 for the logistic one
+            h = 1e-6 / max(1.0, beta) if model.name != "logistic" else 1e-6
+            D = stacked_scores(model, x, [beta], dx=True)[0]
+            up, down = x + h, x - h  # divide by the step that was taken
+            num = ((stacked_scores(model, up, [beta])[0]
+                    - stacked_scores(model, down, [beta])[0])
+                   / (up - down)[:, None])
+            np.testing.assert_allclose(D, num, rtol=0.0,
+                                       atol=1e-8 * np.abs(D).max())
+
+    def test_logistic_derivative_vanishes_at_beta(self):
+        D = stacked_scores(LOGISTIC, np.array([0.0, 7.0, 30.0]), [7.0], dx=True)
+        assert D[0, 1, 0] == 0.0 and D[0, 0, 0] > 0.0 > D[0, 2, 0]
+
+    def test_wrong_axis_derivative_is_rejected(self):
+        model = dataclasses.replace(
+            EXP1, score_dx=lambda x, beta: (np.exp(-beta * x))[:, None])
+        x = np.linspace(0.0, 1.0, 7)
+        with pytest.raises(ValueError, match="score_dx of model"):
+            stacked_scores(model, x, [1.0, 2.0, 3.0], dx=True)
+
+    def test_builtins_have_it_and_custom_models_need_not(self):
+        assert all(m.score_dx is not None for m in (EXP1, EXP2, EXP3, LOGISTIC))
+        assert _nan_at_half_model().score_dx is None
+
+
 class TestAnalyticLocalDesigns:
     def test_scalar_exponential_clips(self):
         assert EXP1.analytic_local(4.0).points[0] == 0.25
