@@ -12,16 +12,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .design import (
-    DesignMeasure,
-    NEG_INF,
-    default_merge,
-    det_info,
-)
+from .design import DesignMeasure, NEG_INF, det_info
 from .local import (
     Criterion,
     GridSpec,
@@ -30,7 +24,6 @@ from .local import (
     info_stack,
     local_offsets,
     local_stack,
-    logdet_stack,
     maximize_weighted_logdet,
     refine,
     stacked_scores,
@@ -188,47 +181,6 @@ def averaged_directional_derivative(
     return prior_criterion(model, prior).derivative(model, design, x)
 
 
-def _polish_bayes(model: Model, crit: Criterion, points, weights):
-    """Continuous refinement of support locations and weights for the
-    node-averaged log-determinant criterion, then the exact weight solve on
-    the merged support, so that the returned weights are the optimum of the
-    returned points, less those it weights 0.  A merged point within 1e-12
-    (hi - lo) of an end moves onto it first: SLSQP leaves residue like 4e-17."""
-    from scipy.optimize import minimize
-
-    nodes, qw = crit.betas, crit.q
-    lo, hi = model.design_interval
-    k = len(points)
-
-    def neg_crit(z):
-        pts, wts = z[:k], z[k:]
-        Fs = stacked_scores(model, pts, nodes)
-        ld = logdet_stack(info_stack(Fs, wts))
-        if not np.all(np.isfinite(ld)):
-            return 1e6
-        return -float(qw @ ld)
-
-    z0 = np.concatenate((points, weights))
-    bounds = [(lo, hi)] * k + [(0.0, 1.0)] * k
-    res = minimize(
-        neg_crit,
-        z0,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=[{"type": "eq", "fun": lambda z: z[k:].sum() - 1.0}],
-        options={"maxiter": 300, "ftol": 1e-15},
-    )
-    z = res.x if res.fun <= neg_crit(z0) else z0
-    wts = np.clip(z[k:], 0.0, None)
-    design = default_merge(DesignMeasure.from_arrays(z[:k], wts / wts.sum()), model)
-    pts = design.points_array()
-    eps = 1e-12 * (hi - lo)
-    pts = np.where(pts - lo <= eps, lo, np.where(hi - pts <= eps, hi, pts))
-    wts = maximize_weighted_logdet(
-        stacked_scores(model, pts, nodes), qw, design.weights_array(), model.m)[0]
-    return DesignMeasure.from_arrays(pts[wts > 0.0], wts[wts > 0.0])
-
-
 def solve_bayes(
     model: Model, prior: ParameterPrior, grid: GridSpec = GridSpec()
 ):
@@ -259,7 +211,7 @@ def solve_bayes(
     w = np.zeros(len(x))
     w[keep] = maximize_weighted_logdet(stacked_scores(model, x[keep], nodes),
                                        qw, w0[keep], model.m)[0]
-    return refine(model, crit, x, w, _polish_bayes)
+    return refine(model, crit, x, w)
 
 
 def bayes_a_criterion(

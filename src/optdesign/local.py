@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from .design import (
     DesignMeasure,
@@ -33,6 +33,7 @@ from .scales import ScaleFunction, logarithm
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
 _NEWTON_ITERS = 60  # Newton steps of the weight solve
+_POLISH_ITERS = 400  # SLSQP iterations of the polish
 _EXCHANGE_ROUNDS = 8  # refine: polish-certify-exchange rounds
 _EXCHANGE_WEIGHT = 0.03  # refine: weight shared by the inserted audit points
 _EXCHANGE_NEAR = 1e-6  # refine: a peak this near the support is not inserted
@@ -457,13 +458,98 @@ def certify(model: Model, design: DesignMeasure,
     )
 
 
-def refine(model: Model, criterion: Criterion, x: np.ndarray, w: np.ndarray,
-           polish) -> tuple:
+def _log_eff_jacobian(model: Model, crit: Criterion, x: np.ndarray,
+                      w: np.ndarray) -> np.ndarray:
+    """Jacobian of g_j = log det M_j - offset_j over (points x, weights w),
+    shape (J, 2k) (Fedorov 1972; Atkinson, Donev & Tobias 2007):
+    2 w_i f_ji^T M_j^-1 f'_ji for x_i and f_ji^T M_j^-1 f_ji for w_i, with
+    f_ji = f(x_i, beta_j) and f' its x-derivative.  A node whose M_j is
+    singular, or whose row is not finite, gets a zero row, as its clamped
+    value is flat."""
+    Fs = stacked_scores(model, x, crit.betas)  # (J, k, m)
+    Ds = stacked_scores(model, x, crit.betas, dx=True)
+    Ms = info_stack(Fs, w)
+    ok = np.linalg.slogdet(Ms)[0] > 0
+    Ms[~ok] = np.eye(model.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = np.linalg.solve(Ms, Fs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        jac = np.concatenate(
+            (2.0 * w * (X * Ds).sum(axis=2), (X * Fs).sum(axis=2)), axis=1)
+    jac[~(ok & np.isfinite(jac).all(axis=1))] = 0.0
+    return jac
+
+
+def polish(model: Model, crit: Criterion, points, weights) -> DesignMeasure:
+    """Free-support refinement of points and weights by SLSQP, then
+    :func:`default_merge`.  With g_j = log det M_j - offset_j, the mean
+    maximizes q . g, with gradient q @ J, and the minimum maximizes t
+    subject to g_j >= t over (points, weights, t), J the constraints'
+    Jacobian; J is :func:`_log_eff_jacobian`, or SLSQP's differences for a
+    model without score_dx.  A start point on the model's fixed support
+    has the bounds (p, p), so the polish, like the merge, never moves it.
+
+    The mean keeps its start if SLSQP ends lower, moves a merged point
+    within 1e-12 (hi - lo) of an interval end onto it (SLSQP leaves residue
+    like 4e-17), and takes the exact weights of the merged points from
+    :func:`maximize_weighted_logdet`, dropping those it weights 0."""
+    k = len(points)
+    lo, hi = model.design_interval
+    exact = model.score_dx is not None
+
+    def g(z):
+        Fs = stacked_scores(model, z[:k], crit.betas)  # (J, k, m)
+        return logdet_stack(info_stack(Fs, z[k:2 * k])) - crit.offsets
+
+    def jac(z):
+        return _log_eff_jacobian(model, crit, z[:k], z[k:2 * k])
+
+    bounds = ([(p, p) if p in model.fixed_support else (lo, hi) for p in points]
+              + [(0.0, 1.0)] * k)
+    if crit.q is None:
+        def cons(z):
+            gz = g(z)
+            gz[~np.isfinite(gz)] = -1e6
+            return gz - z[2 * k]
+
+        z0 = np.r_[points, weights, 0.0]
+        z0[-1] = float(np.min(cons(z0)))  # finite: a singular node reads -1e6
+        grad = np.r_[np.zeros(2 * k), -1.0]
+        fun, fun_jac = (lambda z: -z[2 * k]), (lambda z: grad)
+        bounds.append((None, 0.0))
+        ineq = [{"type": "ineq", "fun": cons, "jac": (
+            (lambda z: np.c_[jac(z), -np.ones(len(crit.betas))]) if exact else None)}]
+    else:
+        def fun(z):
+            gz = g(z)
+            return -float(crit.q @ gz) if np.all(np.isfinite(gz)) else 1e6
+
+        z0 = np.r_[points, weights]
+        fun_jac = (lambda z: -(crit.q @ jac(z))) if exact else None
+        ineq = []
+    ones = np.r_[np.zeros(k), np.ones(k), np.zeros(len(z0) - 2 * k)][None, :]
+    res = minimize(fun, z0, method="SLSQP", jac=fun_jac, bounds=bounds,
+                   constraints=ineq + [{"type": "eq", "jac": lambda z: ones,
+                                        "fun": lambda z: z[k:2 * k].sum() - 1.0}],
+                   options={"maxiter": _POLISH_ITERS, "ftol": 1e-12})
+    z = res.x if crit.q is None or res.fun <= fun(z0) else z0
+    wts = np.clip(z[k:2 * k], 0.0, None)
+    design = default_merge(DesignMeasure.from_arrays(z[:k], wts / wts.sum()), model)
+    if crit.q is None:
+        return design
+    pts = design.points_array()
+    eps = 1e-12 * (hi - lo)
+    pts = np.where(pts - lo <= eps, lo, np.where(hi - pts <= eps, hi, pts))
+    wts = maximize_weighted_logdet(stacked_scores(model, pts, crit.betas), crit.q,
+                                   design.weights_array(), model.m)[0]
+    return DesignMeasure.from_arrays(pts[wts > 0.0], wts[wts > 0.0])
+
+
+def refine(model: Model, criterion: Criterion, x: np.ndarray,
+           w: np.ndarray) -> tuple:
     """Polish-certify-exchange from grid weights w on the points x.
 
-    The merged grid support is polished on the continuum by
-    polish(model, criterion, points, weights), which returns the merged
-    DesignMeasure, and certified.  While the certificate fails, every peak
+    The merged grid support is moved on the continuum by :func:`polish`
+    and certified.  While the certificate fails, every peak
     of its derivative at least _EXCHANGE_NEAR from the support joins the
     support (Wynn 1970; Fedorov 1972), the new points sharing the weight
     _EXCHANGE_WEIGHT equally, and the polish runs again, for at most

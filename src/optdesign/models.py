@@ -40,8 +40,9 @@ class Model:
     beta to its :class:`DesignMeasure`.
 
     ``score_dx(x, beta)``, if given, is the x-derivative of ``score`` under
-    the same broadcast contract.  The maximin polish then has the exact
-    constraint Jacobian; without it SLSQP differences the constraints.
+    the same broadcast contract.  The polish then has the exact Jacobian
+    of the log-efficiencies, for the mean and the minimum alike; without
+    it SLSQP differences them.
     """
 
     name: str

@@ -27,7 +27,7 @@ from optdesign import (
 import optdesign.bayes
 import optdesign.local
 from optdesign.bayes import POS_INF, _gauss_legendre, prior_criterion
-from optdesign.local import SingularInformationError
+from optdesign.local import SingularInformationError, certify
 
 
 class TestParameterPrior:
@@ -233,15 +233,23 @@ class TestSeededSolve:
         solve_bayes(model, ParameterPrior.uniform(1.0, 3.0), GridSpec(count=11))
         assert seen[0] == 11
 
-    # no certified design is known for these priors: the solve must fail
+    # no certified design is known for this prior: the solve must fail
     # closed, with a failed certificate or the documented error
-    @pytest.mark.parametrize("a", [0.5, 0.001])
+    @pytest.mark.parametrize("a", [0.5])
     def test_exp3_truncated_exponential_fails_closed(self, a):
         try:
             _, cert = solve_bayes(EXP3, ParameterPrior.trunc_exp(a))
         except SingularInformationError:
             return
         assert not cert.passed
+
+    def test_exp3_truncated_exponential_certifies_at_a_small_rate(self):
+        # certified since the polish pins the fixed support {0, 1}; the
+        # certificate holds on a rule with twice the quadrature nodes
+        design, cert = solve_bayes(EXP3, ParameterPrior.trunc_exp(0.001))
+        assert cert.passed
+        fine = prior_criterion(EXP3, ParameterPrior.trunc_exp(0.001, 800))
+        assert certify(EXP3, design, fine).passed
 
     def test_failed_solve_returns_its_best_round(self, monkeypatch):
         # the exchange rounds of this wide prior alternate between designs;

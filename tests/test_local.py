@@ -21,10 +21,11 @@ from optdesign import (
     information_matrix,
     local_design,
     log_det,
+    solve_bayes,
     solve_local,
     solve_maximin,
 )
-from optdesign.bayes import _polish_bayes, prior_criterion
+from optdesign.bayes import prior_criterion
 from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
 from optdesign.local import (
     Criterion,
@@ -42,7 +43,6 @@ from optdesign.local import (
     refine,
     stacked_scores,
 )
-from optdesign.maximin import _polish_minimax
 from optdesign.models import h_function
 from optdesign.scales import logarithm
 from optdesign.theory import construct_lower_bound_design
@@ -519,7 +519,7 @@ class TestExp3LocalDesign:
 
 class TestRefine:
     """The one polish-certify-exchange loop, from a one-point start at
-    x = 0.5: the polishes never add a point, so every further support
+    x = 0.5: the polish never adds a point, so every further support
     point was inserted by the exchange."""
 
     def _one_point(self):
@@ -538,12 +538,29 @@ class TestRefine:
     def test_bayes_support_grows_to_the_solved_design(self, bayes_results):
         prior = ParameterPrior.uniform(1.0, 50.0)
         design, cert = refine(EXP1, prior_criterion(EXP1, prior),
-                              *self._one_point(), _polish_bayes)
+                              *self._one_point())
         self._check(design, cert, bayes_results[50][0], (0.03829, 0.318472))
 
     def test_maximin_support_grows_to_the_solved_design(self):
         grid = BetaGrid(1.0, 20.0)
         design, cert = refine(EXP1, Criterion.maximin(EXP1, grid.values),
-                              *self._one_point(), _polish_minimax)
+                              *self._one_point())
         want, _ = solve_maximin(EXP1, grid)
         self._check(design, cert, want, (0.066306, 0.298745, 0.919543))
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_maximin(EXP3, BetaGrid(1.0, 2.0, 20)),
+        lambda: solve_bayes(EXP3, ParameterPrior.uniform(1.0, 3000.0)),
+    ], ids=["maximin", "bayes"])
+    def test_polish_never_moves_a_fixed_point(self, solve):
+        # unpinned, SLSQP left 5.44e-17 and 0.9999999999999998 in the
+        # maximin design and 0.9999999999987763 in the Bayes one
+        pts = solve()[0].points_array()
+        fixed = np.array(EXP3.fixed_support)
+        near = np.abs(pts[:, None] - fixed).min(axis=1) <= 1e-6
+        assert near.sum() == 2 and np.all(np.isin(pts[near], fixed))
+
+    def test_a_fixed_point_may_leave_with_zero_weight(self):
+        # the merge drops a fixed point whose weight falls below its floor
+        design, cert = solve_bayes(EXP2, ParameterPrior.uniform(1.0, 1000.0))
+        assert cert.passed and min(design.points) > 1e-3

@@ -14,8 +14,10 @@ from optdesign import (
     BetaGrid,
     DesignMeasure,
     Model,
+    ParameterPrior,
     maximin_criterion,
     q_efficiency,
+    solve_bayes,
     solve_local,
     solve_maximin,
     support_count,
@@ -24,10 +26,10 @@ from optdesign.design import det_stack
 from optdesign.local import (
     Criterion,
     SingularInformationError,
+    _log_eff_jacobian,
     local_design,
     stacked_scores,
 )
-from optdesign.maximin import _log_eff_jacobian
 from optdesign.models import q_exp1_closed
 
 
@@ -148,17 +150,20 @@ class TestSolveMaximin:
             assert phi >= 0.5 / n
 
     def test_model_without_score_dx_differences_the_constraints(
-            self, maximin_results):
-        # an EXP1 clone without score_dx takes SLSQP's difference Jacobian
+            self, maximin_results, bayes_results):
+        # an EXP1 clone without score_dx takes SLSQP's differences, of the
+        # maximin constraints and of the Bayes objective
         clone = Model(name="exp1-clone", m=1, m_eta=0,
                       design_interval=EXP1.design_interval,
                       beta_range=EXP1.beta_range, score=EXP1.score,
                       analytic_local=EXP1.analytic_local)
-        design, cert = solve_maximin(clone, BetaGrid(1.0, 50.0))
-        want = maximin_results[50][0]
-        assert cert.passed and design.n == want.n
-        np.testing.assert_allclose(design.points, want.points, atol=1e-6)
-        np.testing.assert_allclose(design.weights, want.weights, atol=1e-6)
+        for (design, cert), want in (
+                (solve_maximin(clone, BetaGrid(1.0, 50.0)), maximin_results[50][0]),
+                (solve_bayes(clone, ParameterPrior.uniform(1.0, 50.0)),
+                 bayes_results[50][0])):
+            assert cert.passed and design.n == want.n
+            np.testing.assert_allclose(design.points, want.points, atol=1e-6)
+            np.testing.assert_allclose(design.weights, want.weights, atol=1e-6)
 
     def test_singular_seed_starts_the_polish_at_a_finite_epigraph(self):
         # the grid weights merge to one point, singular at some beta: the
@@ -202,34 +207,42 @@ class TestPolishJacobian:
         (LOGISTIC, np.linspace(1.0, 20.0, 30)),
     ], ids=["exp1", "exp2", "exp3", "logistic"])
     def test_matches_central_differences(self, model, betas):
-        # the differenced constraint log det M_j - offset_j - t takes its
-        # determinants in extended precision: in double, EXP3's
-        # ill-conditioned M leaves differences good to about 1e-5 only
+        # the differenced log-efficiencies g_j = log det M_j - offset_j take
+        # their determinants in extended precision: in double, EXP3's
+        # ill-conditioned M leaves differences good to about 1e-5 only.
+        # The mean's gradient q @ J is checked against differences of q . g
         crit = Criterion.maximin(model, betas)
         lo, hi = model.design_interval
+        q = np.random.default_rng(6).dirichlet(np.ones(len(betas)))
 
-        def cons(z):
-            d = det_stack(stacked_scores(model, z[:6], betas), z[6:12], 6, betas)
-            return np.log(d) - crit.offsets - z[12]
+        def g(z):
+            d = det_stack(stacked_scores(model, z[:6], betas), z[6:], 6, betas)
+            return np.log(d) - crit.offsets
 
         rng = np.random.default_rng(5)
         for _ in range(5):
-            z = np.r_[rng.uniform(lo, hi, 6), rng.dirichlet(np.ones(6)), -0.3]
-            jac = _log_eff_jacobian(model, crit, z)
+            z = np.r_[rng.uniform(lo, hi, 6), rng.dirichlet(np.ones(6))]
+            jac = _log_eff_jacobian(model, crit, z[:6], z[6:])
+            assert jac.shape == (len(betas), 12)
             num = np.empty_like(jac)
-            for i in range(13):
-                e = np.zeros(13)
+            num_mean = np.empty(12)
+            for i in range(12):
+                e = np.zeros(12)
                 e[i] = 1e-6 * ((hi - lo) if i < 6 else 1.0)
-                num[:, i] = (cons(z + e) - cons(z - e)) / ((z + e)[i] - (z - e)[i])
+                h = (z + e)[i] - (z - e)[i]
+                num[:, i] = (g(z + e) - g(z - e)) / h
+                num_mean[i] = (q @ g(z + e) - q @ g(z - e)) / h
             np.testing.assert_allclose(jac, num, rtol=0.0,
                                        atol=1e-7 * np.abs(jac).max())
+            np.testing.assert_allclose(q @ jac, num_mean, rtol=0.0,
+                                       atol=1e-7 * np.abs(q @ jac).max())
 
     def test_singular_node_has_a_flat_row(self):
         # one support point: M is singular at every beta for EXP2
         betas = BetaGrid(1.0, 10.0, 5).values
-        z = np.r_[0.3, 0.3, 0.5, 0.5, -1e6]
-        jac = _log_eff_jacobian(EXP2, Criterion.maximin(EXP2, betas), z)
-        assert np.all(jac[:, :4] == 0.0) and np.all(jac[:, 4] == -1.0)
+        jac = _log_eff_jacobian(EXP2, Criterion.maximin(EXP2, betas),
+                                np.array([0.3, 0.3]), np.array([0.5, 0.5]))
+        assert jac.shape == (5, 4) and np.all(jac == 0.0)
 
 
 class TestFallbackLog:
