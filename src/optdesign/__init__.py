@@ -27,7 +27,6 @@ from .design import (
 )
 from .local import (
     EquivalenceCertificate,
-    GridSpec,
     directional_derivative,
     local_design,
     solve_local,
@@ -73,7 +72,6 @@ __all__ = [
     "EXP2",
     "EXP3",
     "EquivalenceCertificate",
-    "GridSpec",
     "InfoMatrix",
     "LOGISTIC",
     "Model",

@@ -3,8 +3,10 @@
 The criterion is the prior average of log det M(xi, beta); its standardized
 form subtracts each node's local optimum, a design-independent constant.
 The solver seeds :func:`local.refine` with the optimal weights of a few
-candidate points, the support of the mixture of local designs; a point-mass
-prior gives the local solver.
+candidate points: the points of the fixed 2,001-point x-grid that carry the
+mixture of local designs, or, for a model without local designs, 21 evenly
+spaced interval points plus the fixed support.  A point-mass prior gives
+the local solver.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .design import DesignMeasure, NEG_INF, det_info
 from .local import (
     Criterion,
-    GridSpec,
     _seed_mixture_weights,
     build_grid,
     info_stack,
@@ -49,8 +50,8 @@ class ParameterPrior:
     def __post_init__(self):
         if self.kind == "uniform":
             lo, hi = self.params
-            if not lo < hi:
-                raise ValueError("uniform prior needs lo < hi")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError("uniform prior needs finite lo < hi")
         elif self.kind == "trunc_exp":
             (a,) = self.params
             if not 0.0 < a < 1.0:
@@ -181,33 +182,30 @@ def averaged_directional_derivative(
     return prior_criterion(model, prior).derivative(model, design, x)
 
 
-def solve_bayes(
-    model: Model, prior: ParameterPrior, grid: GridSpec = GridSpec()
-):
+def solve_bayes(model: Model, prior: ParameterPrior):
     """Bayesian D-optimal design: :func:`local.refine` from grid weights.
 
-    The candidates are the grid points that carry at least half a uniform
-    weight in the mixture of local designs between the prior's extreme
-    nodes, weighted by :func:`local.maximize_weighted_logdet` from the
-    mixture.  Without analytic local designs, or with a node <= 0, they are
-    21 evenly spaced grid points plus the fixed support, from uniform
-    weights.  A point-mass prior gives the local design (:func:`solve_local`).
+    The candidates are the points of the 2,001-point x-grid that carry at
+    least half a uniform weight in the mixture of local designs between the
+    prior's extreme nodes, weighted by :func:`local.maximize_weighted_logdet`
+    from the mixture.  Without analytic local designs, or with a node <= 0,
+    they are 21 evenly spaced interval points plus the fixed support, from
+    uniform weights.  A point-mass prior gives the local design
+    (:func:`solve_local`).
     """
     crit = prior_criterion(model, prior)
     nodes, qw = crit.betas, crit.q
     ends = nodes[[0, -1]]
-    extra = list(model.fixed_support)
-    if model.analytic_local is not None:
-        P, W, _ = local_stack(model, ends)
-        extra.extend(P[W > 0.0])
-    x = build_grid(model.design_interval, grid, extra_points=extra)
     if model.analytic_local is None or ends[0] <= 0.0:
-        keep = np.isin(x, model.fixed_support)
-        keep[np.linspace(0, len(x) - 1, 21).round().astype(int)] = True
+        lo, hi = model.design_interval
+        x = np.unique(np.r_[np.linspace(lo, hi, 21), model.fixed_support])
         w0 = np.ones(len(x))
     else:
+        P, W, _ = local_stack(model, ends)
+        x = build_grid(model.design_interval,
+                       extra_points=[*model.fixed_support, *P[W > 0.0]])
         w0 = _seed_mixture_weights(model, ends, x)
-        keep = w0 >= 0.5 / len(x)
+    keep = w0 >= 0.5 / len(x)
     w = np.zeros(len(x))
     w[keep] = maximize_weighted_logdet(stacked_scores(model, x[keep], nodes),
                                        qw, w0[keep], model.m)[0]

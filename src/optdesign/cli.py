@@ -16,7 +16,7 @@ import numpy as np
 
 from .bayes import ParameterPrior, bayes_criterion, solve_bayes
 from .io import verify_artifact, write_artifact, write_plot_data
-from .local import GridSpec, solve_local
+from .local import solve_local
 from .maximin import BetaGrid, maximin_criterion, solve_maximin
 from .models import Model, get_model, make_logistic
 from .scales import identity, logarithm
@@ -85,7 +85,7 @@ def _report_design(design, cert, out, model, criterion, plot_prefix) -> int:
 
 def _cmd_local(args) -> int:
     model = _model_for(args.model, args.beta)
-    design, cert = solve_local(model, args.beta, GridSpec(count=args.grid))
+    design, cert = solve_local(model, args.beta)
     return _report_design(design, cert, args.out, model, args.beta,
                           args.plot_data)
 
@@ -101,7 +101,7 @@ def _cmd_bayes(args) -> int:
             model = make_logistic(prior.support_interval[1] + 5.0)
     else:
         model = get_model(args.model)
-    design, cert = solve_bayes(model, prior, GridSpec(count=args.grid))
+    design, cert = solve_bayes(model, prior)
     value = bayes_criterion(design, model, prior, standardized=True)
     print(f"standardized criterion: {value:.9f}")
     return _report_design(design, cert, args.out, model, prior, args.plot_data)
@@ -111,7 +111,7 @@ def _cmd_maximin(args) -> int:
     lo, hi = args.beta_range
     model = _model_for(args.model, hi)
     grid = BetaGrid(lo, hi, args.beta_grid)
-    design, cert = solve_maximin(model, grid, GridSpec(count=args.grid))
+    design, cert = solve_maximin(model, grid)
     value, argmin = maximin_criterion(design, model, grid)
     print(f"worst efficiency: {value:.9f} at beta = {argmin:g}")
     return _report_design(design, cert, args.out, model, grid, args.plot_data)
@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local", help="local D-optimal design at a fixed beta")
     p.add_argument("--model", required=True, choices=models)
     p.add_argument("--beta", required=True, type=float)
-    p.add_argument("--grid", type=int, default=2001)
     p.add_argument("--out", help="write design + certificate JSON")
     p.add_argument("--plot-data", help="prefix for two-column curve files")
     p.set_defaults(func=_cmd_local)
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform:LO:HI | truncexp:A | discrete:L | point:B")
     p.add_argument("--quad", type=int, default=200,
                    help="quadrature nodes for continuous priors")
-    p.add_argument("--grid", type=int, default=2001)
     p.add_argument("--out")
     p.add_argument("--plot-data")
     p.set_defaults(func=_cmd_bayes)
@@ -231,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-range", required=True, type=_parse_range,
                    metavar="LO:HI")
     p.add_argument("--beta-grid", type=int, default=400)
-    p.add_argument("--grid", type=int, default=2001)
     p.add_argument("--out")
     p.add_argument("--plot-data")
     p.set_defaults(func=_cmd_maximin)

@@ -1,11 +1,13 @@
 """Local D-optimal designs, the one solve path, and its certificate.
 
-Every criterion is a :class:`Criterion`.  A solve puts seed weights on an
-x-grid and finishes in :func:`refine`, the polish-certify-exchange loop
-audited by :func:`certify`.  Design weights for the q-weighted mean of
-log-determinants come from :func:`maximize_weighted_logdet`, a damped Newton
-solve on a few candidate points.  A local design is the Bayes design of a
-point-mass prior: :func:`solve_local` runs that solve.
+Every criterion is a :class:`Criterion`.  A solve puts seed weights on a
+fixed 2,001-point x-grid (:func:`build_grid`), or, without local designs,
+on 21 evenly spaced points plus the fixed support, and finishes in
+:func:`refine`, the polish-certify-exchange loop audited by :func:`certify`
+on a fixed 8,001-point grid.  Design weights for the q-weighted mean of
+log-determinants come from :func:`maximize_weighted_logdet`, a damped
+Newton solve on a few candidate points.  A local design is the Bayes
+design of a point-mass prior: :func:`solve_local` runs that solve.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .models import Model
 from .scales import ScaleFunction, logarithm
 
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
+_SEED_POINTS = 2001  # uniform x-grid of the seed weights (build_grid)
+_AUDIT_POINTS = 8001  # uniform cover of the certificate's audit grid
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
 _NEWTON_ITERS = 60  # Newton steps of the weight solve
 _POLISH_ITERS = 400  # SLSQP iterations of the polish
@@ -48,15 +52,6 @@ _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
 
 class SingularInformationError(ArithmeticError):
     """Directional derivative requested at a singular information matrix."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    count: int = 2001
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("grid count must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -86,15 +81,12 @@ class EquivalenceCertificate:
         return d
 
 
-def build_grid(interval, spec: GridSpec, extra_points=()) -> np.ndarray:
-    """Sorted, de-duplicated uniform grid on the interval, plus any extra
-    points."""
+def build_grid(interval, extra_points=()) -> np.ndarray:
+    """Sorted, de-duplicated uniform seed grid of _SEED_POINTS points on the
+    interval, plus any extra points."""
     lo, hi = interval
-    x = np.linspace(lo, hi, spec.count)
-    if len(extra_points):
-        x = np.concatenate((x, np.asarray(extra_points, dtype=float)))
-        x = x[(x >= lo) & (x <= hi)]
-    return np.unique(x)
+    x = np.r_[np.linspace(lo, hi, _SEED_POINTS), np.asarray(extra_points, float)]
+    return np.unique(x[(x >= lo) & (x <= hi)])
 
 
 def info_stack(Fs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -204,10 +196,11 @@ def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def audit_grid(interval, design: DesignMeasure, count: int = 8001) -> np.ndarray:
-    """Dense grid for certification: uniform cover plus support neighborhoods."""
+def audit_grid(interval, design: DesignMeasure) -> np.ndarray:
+    """Dense grid for certification: a uniform cover of _AUDIT_POINTS points
+    plus support neighborhoods."""
     lo, hi = interval
-    pieces = [np.linspace(lo, hi, count), design.points_array()]
+    pieces = [np.linspace(lo, hi, _AUDIT_POINTS), design.points_array()]
     for p in design.points:
         r = 1e-4 * (hi - lo)
         pieces.append(np.linspace(p - r, p + r, 41))
@@ -578,13 +571,13 @@ def refine(model: Model, criterion: Criterion, x: np.ndarray,
     return min(rounds, key=lambda r: r[1].max_directional_derivative)
 
 
-def solve_local(model: Model, beta: float, grid: GridSpec = GridSpec()):
+def solve_local(model: Model, beta: float):
     """Local D-optimal design for a fixed beta, with an equivalence audit:
     the Bayes design of the point-mass prior at beta."""
     from .bayes import ParameterPrior, solve_bayes
 
     model.check_beta(beta)
-    return solve_bayes(model, ParameterPrior.point_mass(beta), grid)
+    return solve_bayes(model, ParameterPrior.point_mass(beta))
 
 
 @functools.lru_cache(maxsize=None)

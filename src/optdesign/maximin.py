@@ -1,9 +1,10 @@
 """Standardized maximin D-optimal designs over a finite parameter grid.
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
-grid.  The grid weights come from a linear program for m = 1, solved
-exactly, and from the mixture of local designs for m > 1.  Both end in
-:func:`local.refine`, whose polish takes the minimum in epigraph form.
+grid.  The weights on the fixed 2,001-point x-grid come from a linear
+program for m = 1, solved exactly, and from the mixture of local designs
+for m > 1.  Both end in :func:`local.refine`, whose polish takes the
+minimum in epigraph form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from .design import DesignMeasure, canonical_merge
 from .local import (
     Criterion,
-    GridSpec,
     _least_favorable_lp,
     _seed_mixture_weights,
     build_grid,
@@ -34,8 +34,8 @@ class BetaGrid:
     count: int = 400
 
     def __post_init__(self):
-        if self.beta_min > self.beta_max:
-            raise ValueError("need beta_min <= beta_max")
+        if not 0.0 < self.beta_min <= self.beta_max < math.inf:
+            raise ValueError("need 0 < beta_min <= beta_max < inf")
         if self.beta_min < self.beta_max and self.count < 2:
             raise ValueError("need at least 2 grid values")
 
@@ -68,14 +68,13 @@ def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return _least_favorable_lp(-a.T)
 
 
-def solve_maximin(model: Model, grid: BetaGrid, xgrid: GridSpec = GridSpec()):
+def solve_maximin(model: Model, grid: BetaGrid):
     """Standardized maximin D-optimal design with a least-favorable certificate."""
     betas = grid.values
     if len(betas) == 1:  # a single parameter value is the local problem
-        return solve_local(model, float(betas[0]), xgrid)
+        return solve_local(model, float(betas[0]))
     crit = Criterion.maximin(model, betas)
-    x = build_grid(model.design_interval, xgrid,
-                   extra_points=list(model.fixed_support))
+    x = build_grid(model.design_interval, extra_points=model.fixed_support)
     if model.m == 1:  # the grid problem is a linear program
         w = _grid_maximin_lp(stacked_scores(model, x, betas), crit.offsets)
     else:

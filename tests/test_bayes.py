@@ -12,7 +12,6 @@ from optdesign import (
     EXP3,
     LOGISTIC,
     DesignMeasure,
-    GridSpec,
     ParameterPrior,
     averaged_directional_derivative,
     bayes_a_criterion,
@@ -38,6 +37,13 @@ class TestParameterPrior:
             ParameterPrior.trunc_exp(-1.0)
         with pytest.raises(ValueError):
             ParameterPrior.discrete_uniform(0)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0),
+                                        (math.nan, 1.0), (1.0, math.nan)])
+    def test_uniform_bounds_must_be_finite(self, lo, hi):
+        # lo < hi alone lets (1, inf) through to quadrature, which warns
+        with pytest.raises(ValueError):
+            ParameterPrior.uniform(lo, hi)
 
     def test_support_intervals(self):
         assert ParameterPrior.uniform(1.0, 40.0).support_interval == (1.0, 40.0)
@@ -224,14 +230,19 @@ class TestSeededSolve:
         model = dataclasses.replace(EXP1, analytic_local=None)
         design, cert = solve_bayes(model, ParameterPrior.uniform(1.0, 50.0))
         assert cert.passed and design.n == 2
-        # the first call weights 21 grid points and the fixed support
-        assert seen[0] <= 21 + len(model.fixed_support)
+        # the first call weights the 21 evenly spaced start points
+        assert seen[0] == 21
 
-    def test_coarse_start_has_no_duplicate_columns(self, monkeypatch):
+    @pytest.mark.parametrize("model, n", [(EXP2, 2), (EXP3, 3)],
+                             ids=["exp2", "exp3"])
+    def test_fixed_support_on_the_start_points_is_one_column(
+            self, model, n, monkeypatch):
+        # the fixed support lies on the 21 start points: no duplicate column
         seen = _engine_columns(monkeypatch)
-        model = dataclasses.replace(EXP2, analytic_local=None)
-        solve_bayes(model, ParameterPrior.uniform(1.0, 3.0), GridSpec(count=11))
-        assert seen[0] == 11
+        model = dataclasses.replace(model, analytic_local=None)
+        design, cert = solve_bayes(model, ParameterPrior.uniform(1.0, 3.0))
+        assert cert.passed and design.n == n
+        assert seen[0] == 21
 
     # no certified design is known for this prior: the solve must fail
     # closed, with a failed certificate or the documented error

@@ -13,7 +13,6 @@ from optdesign import (
     LOGISTIC,
     BetaGrid,
     DesignMeasure,
-    GridSpec,
     Model,
     ParameterPrior,
     canonical_merge,
@@ -48,15 +47,12 @@ from optdesign.scales import logarithm
 from optdesign.theory import construct_lower_bound_design
 
 
-class TestGridSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(count=1)
-
+class TestBuildGrid:
     def test_build_grid_sorted_unique(self):
-        x = build_grid((0.0, 1.0), GridSpec(count=101), extra_points=[0.5, 0.5])
+        x = build_grid((0.0, 1.0), extra_points=[0.5, 0.5, 0.1234])
         assert np.all(np.diff(x) > 0)
         assert x[0] == 0.0 and x[-1] == 1.0
+        assert len(x) == 2002  # 0.5 is a grid point, 0.1234 is not
 
 
 class TestSolveLocal:
@@ -211,7 +207,7 @@ def _engine_problem(model):
     quadrature-like node weights.  Few candidates: the 0.9 boundary cut
     shrinks a weight at most tenfold per Newton step, so hundreds of zero
     weights would outlast the step cap."""
-    x = build_grid(model.design_interval, GridSpec(count=5))
+    x = np.linspace(*model.design_interval, 5)
     betas = np.geomspace(1.0, 5.0, 6)
     q = np.random.default_rng(1).uniform(0.5, 1.5, 6)
     return stacked_scores(model, x, betas), q / q.sum()
@@ -261,7 +257,7 @@ class TestSeedMixture:
     def test_seed_mass_sits_on_the_lower_bound_design(self, model):
         # span log 40 >= 4 log 2: the seed is the lower-bound band mixture
         # mapped to the nearest grid points, over a 10% uniform floor
-        x = build_grid(model.design_interval, GridSpec(),
+        x = build_grid(model.design_interval,
                        extra_points=list(model.fixed_support))
         w = _seed_mixture_weights(model, np.array([1.0, 40.0]), x)
         xi = construct_lower_bound_design(model, logarithm(), 1.0, 40.0,
@@ -378,7 +374,7 @@ def _exp1_grid_game(B):
     on [1, B]: rows are design points, columns parameter values."""
     betas = BetaGrid(1.0, float(B)).values
     offsets = Criterion.maximin(EXP1, betas).offsets
-    x = build_grid(EXP1.design_interval, GridSpec(),
+    x = build_grid(EXP1.design_interval,
                    extra_points=list(EXP1.fixed_support))
     Fs = stacked_scores(EXP1, x, betas)
     return -(Fs[:, :, 0] ** 2 * np.exp(-offsets)[:, None]).T
@@ -523,7 +519,7 @@ class TestRefine:
     point was inserted by the exchange."""
 
     def _one_point(self):
-        x = build_grid(EXP1.design_interval, GridSpec())
+        x = build_grid(EXP1.design_interval)
         return x, np.where(x == 0.5, 1.0, 0.0)
 
     def _check(self, design, cert, want, points):

@@ -39,6 +39,11 @@ class TestBetaGrid:
             BetaGrid(5.0, 2.0)
         with pytest.raises(ValueError):
             BetaGrid(1.0, 2.0, count=1)
+        # bounds are checked before numpy's geomspace sees them
+        for lo, hi in [(0.0, 10.0), (-1.0, 10.0), (1.0, math.inf),
+                       (math.nan, 10.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                BetaGrid(lo, hi)
 
     def test_singleton_grid(self):
         g = BetaGrid(3.0, 3.0)
