@@ -3,10 +3,9 @@
 The criterion is the prior average of log det M(xi, beta); its standardized
 form subtracts each node's local optimum, a design-independent constant.
 The solver seeds :func:`local.refine` with the optimal weights of a few
-candidate points: the points of the fixed 2,001-point x-grid that carry the
-mixture of local designs, or, for a model without local designs, 21 evenly
-spaced interval points plus the fixed support.  A point-mass prior gives
-the local solver.
+candidate points: the points of the mixture of local designs, or, for a
+model without local designs, 21 evenly spaced interval points plus the
+fixed support.  A point-mass prior gives the local solver.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ import numpy as np
 from .design import DesignMeasure, NEG_INF, det_info
 from .local import (
     Criterion,
-    _seed_mixture_weights,
-    build_grid,
+    band_seed,
     info_stack,
     local_offsets,
     local_stack,
@@ -58,8 +56,9 @@ class ParameterPrior:
                 raise ValueError("trunc_exp needs a in (0, 1)")
         elif self.kind == "discrete_uniform":
             (L,) = self.params
-            if int(L) < 1 or int(L) != L:
+            if not (math.isfinite(L) and L >= 1 and L == math.floor(L)):
                 raise ValueError("discrete_uniform needs integer L >= 1")
+            object.__setattr__(self, "params", (int(L),))
         elif self.kind == "point_mass":
             (b,) = self.params
             if not math.isfinite(b):
@@ -79,7 +78,7 @@ class ParameterPrior:
 
     @staticmethod
     def discrete_uniform(L: int):
-        return ParameterPrior("discrete_uniform", (int(L),), 1)
+        return ParameterPrior("discrete_uniform", (L,), 1)
 
     @staticmethod
     def point_mass(beta: float):
@@ -183,32 +182,26 @@ def averaged_directional_derivative(
 
 
 def solve_bayes(model: Model, prior: ParameterPrior):
-    """Bayesian D-optimal design: :func:`local.refine` from grid weights.
+    """Bayesian D-optimal design: :func:`local.refine` from the optimal
+    weights of a few candidates.
 
-    The candidates are the points of the 2,001-point x-grid that carry at
-    least half a uniform weight in the mixture of local designs between the
-    prior's extreme nodes, weighted by :func:`local.maximize_weighted_logdet`
-    from the mixture.  Without analytic local designs, or with a node <= 0,
-    they are 21 evenly spaced interval points plus the fixed support, from
-    uniform weights.  A point-mass prior gives the local design
-    (:func:`solve_local`).
+    The candidates are the points of the mixture of local designs between
+    the prior's extreme nodes (:func:`local.band_seed`), weighted by
+    :func:`local.maximize_weighted_logdet` from the mixture weights.
+    Without analytic local designs, or with a node <= 0, they are 21 evenly
+    spaced interval points plus the fixed support, from uniform weights.  A
+    point-mass prior gives the local design (:func:`solve_local`).
     """
     crit = prior_criterion(model, prior)
     nodes, qw = crit.betas, crit.q
-    ends = nodes[[0, -1]]
-    if model.analytic_local is None or ends[0] <= 0.0:
+    if model.analytic_local is None or nodes[0] <= 0.0:
         lo, hi = model.design_interval
         x = np.unique(np.r_[np.linspace(lo, hi, 21), model.fixed_support])
         w0 = np.ones(len(x))
     else:
-        P, W, _ = local_stack(model, ends)
-        x = build_grid(model.design_interval,
-                       extra_points=[*model.fixed_support, *P[W > 0.0]])
-        w0 = _seed_mixture_weights(model, ends, x)
-    keep = w0 >= 0.5 / len(x)
-    w = np.zeros(len(x))
-    w[keep] = maximize_weighted_logdet(stacked_scores(model, x[keep], nodes),
-                                       qw, w0[keep], model.m)[0]
+        x, w0 = band_seed(model, nodes[0], nodes[-1])
+    w = maximize_weighted_logdet(stacked_scores(model, x, nodes), qw, w0,
+                                 model.m)[0]
     return refine(model, crit, x, w)
 
 

@@ -29,14 +29,15 @@ from .theory import (
 )
 
 
-def _parse_prior(text: str, quad: int) -> ParameterPrior:
+def _parse_prior(text: str, quad) -> ParameterPrior:
     parts = text.split(":")
     kind = parts[0]
+    nodes = {} if quad is None else {"quadrature_nodes": quad}
     try:
         if kind == "uniform":
-            return ParameterPrior.uniform(float(parts[1]), float(parts[2]), quad)
+            return ParameterPrior.uniform(float(parts[1]), float(parts[2]), **nodes)
         if kind == "truncexp":
-            return ParameterPrior.trunc_exp(float(parts[1]), quad)
+            return ParameterPrior.trunc_exp(float(parts[1]), **nodes)
         if kind == "discrete":
             return ParameterPrior.discrete_uniform(int(parts[1]))
         if kind == "point":
@@ -217,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=models)
     p.add_argument("--prior", required=True,
                    help="uniform:LO:HI | truncexp:A | discrete:L | point:B")
-    p.add_argument("--quad", type=int, default=200,
-                   help="quadrature nodes for continuous priors")
+    p.add_argument("--quad", type=int,
+                   help="quadrature nodes (default: the prior kind's own)")
     p.add_argument("--out")
     p.add_argument("--plot-data")
     p.set_defaults(func=_cmd_bayes)

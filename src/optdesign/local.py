@@ -1,13 +1,14 @@
 """Local D-optimal designs, the one solve path, and its certificate.
 
-Every criterion is a :class:`Criterion`.  A solve puts seed weights on a
-fixed 2,001-point x-grid (:func:`build_grid`), or, without local designs,
-on 21 evenly spaced points plus the fixed support, and finishes in
-:func:`refine`, the polish-certify-exchange loop audited by :func:`certify`
-on a fixed 8,001-point grid.  Design weights for the q-weighted mean of
-log-determinants come from :func:`maximize_weighted_logdet`, a damped
-Newton solve on a few candidate points.  A local design is the Bayes
-design of a point-mass prior: :func:`solve_local` runs that solve.
+Every criterion is a :class:`Criterion`.  A solve seeds :func:`refine`,
+the polish-certify-exchange loop audited by :func:`certify` on a fixed
+8,001-point grid, with the band mixture of local designs (:func:`band_seed`),
+or without local designs with 21 evenly spaced points plus the fixed
+support, or for m = 1 maximin with linear-program weights on a fixed
+2,001-point x-grid (:func:`build_grid`).  Weights for the q-weighted mean
+of log-determinants come from :func:`maximize_weighted_logdet`, a damped
+Newton solve on a few candidates.  A local design is the Bayes design of a
+point-mass prior: :func:`solve_local` runs that solve.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .models import Model
 from .scales import ScaleFunction, logarithm
 
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
-_SEED_POINTS = 2001  # uniform x-grid of the seed weights (build_grid)
+_SEED_POINTS = 2001  # uniform x-grid of the m = 1 maximin LP (build_grid)
 _AUDIT_POINTS = 8001  # uniform cover of the certificate's audit grid
 _NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
 _NEWTON_ITERS = 60  # Newton steps of the weight solve
@@ -81,12 +82,10 @@ class EquivalenceCertificate:
         return d
 
 
-def build_grid(interval, extra_points=()) -> np.ndarray:
-    """Sorted, de-duplicated uniform seed grid of _SEED_POINTS points on the
-    interval, plus any extra points."""
-    lo, hi = interval
-    x = np.r_[np.linspace(lo, hi, _SEED_POINTS), np.asarray(extra_points, float)]
-    return np.unique(x[(x >= lo) & (x <= hi)])
+def build_grid(interval) -> np.ndarray:
+    """Uniform grid of _SEED_POINTS points on the interval, the candidates
+    of the m = 1 maximin linear program."""
+    return np.linspace(*interval, _SEED_POINTS)
 
 
 def info_stack(Fs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -106,19 +105,29 @@ def dirderiv_stack(Fs: np.ndarray, Ms: np.ndarray) -> np.ndarray:
     return (np.matmul(Fs, Minv) * Fs).sum(axis=2)
 
 
+def _inverse_factor(Fs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R_j^{-1}, R_j the QR factor of sqrt(w_i) f(x_i, beta_j), so that
+    f^T M_j^{-1} f = ||f R_j^{-1}||^2: R's condition number is the square
+    root of M's, so this holds far below a design's own beta, where an
+    inverse of M is noise.  LinAlgError for a non-square or exactly
+    singular R."""
+    return np.linalg.inv(np.linalg.qr(np.sqrt(w)[:, None] * Fs, mode="r"))
+
+
 def maximize_weighted_logdet(Fs: np.ndarray, q: np.ndarray, w0: np.ndarray,
                              m: int, tol: float = 1e-12):
     """Design weights maximizing Phi(w) = sum_j q_j log det M_j(w) on the
     probability simplex over the candidate columns of Fs.
 
     Damped equality-constrained Newton (Boyd & Vandenberghe 2004, sec.
-    9.5-9.6) from w0: the step 1 / (1 + lambda), lambda the Newton
-    decrement, cut to 0.9 of the way to the simplex boundary.  A weight a
-    step drives below 1e-12 becomes exactly 0 and leaves the solve, so a
-    candidate whose optimal weight is 0 does not linger at 1e-60.  It stops
-    when the KKT residual max |d(x_i) - m| on the support, d = sum_j q_j
-    d_j, is at most tol * m, at a singular M, or after _NEWTON_ITERS steps;
-    no criterion value is compared, so slogdet rounding rejects no step.
+    9.5-9.6) from w0, with d_j = f^T M_j^{-1} f from :func:`_inverse_factor`:
+    the step 1 / (1 + lambda), lambda the Newton decrement, cut to 0.9 of
+    the way to the simplex boundary.  A weight a step drives below 1e-12
+    becomes exactly 0 and leaves the solve, so a candidate whose optimal
+    weight is 0 does not linger at 1e-60.  It stops when the KKT residual
+    max |d(x_i) - m| on the support, d = sum_j q_j d_j, is at most tol * m,
+    at a singular M, or after _NEWTON_ITERS steps; no criterion value is
+    compared, so slogdet rounding rejects no step.
 
     Returns (w, maxd, history): maxd is the largest d over all columns at w,
     pruned ones included (inf at a singular M); history holds the KKT
@@ -130,10 +139,10 @@ def maximize_weighted_logdet(Fs: np.ndarray, q: np.ndarray, w0: np.ndarray,
         S = np.flatnonzero(w)
         F, wS = Fs[:, S], w[S]
         try:
-            Minv = np.linalg.inv(info_stack(F, wS))
+            G = np.matmul(F, _inverse_factor(F, wS))  # G G^T = F M^-1 F^T
         except np.linalg.LinAlgError:
             break
-        B = np.matmul(np.matmul(F, Minv), F.transpose(0, 2, 1))
+        B = np.matmul(G, G.transpose(0, 2, 1))
         g = (q[:, None] * np.diagonal(B, axis1=1, axis2=2)).sum(axis=0)
         history.append(float(np.max(np.abs(g - m))))
         if history[-1] <= tol * m:
@@ -157,7 +166,8 @@ def maximize_weighted_logdet(Fs: np.ndarray, q: np.ndarray, w0: np.ndarray,
         wS[wS < 1e-12] = 0.0
         w[S] = wS / wS.sum()
     try:
-        maxd = float((q @ dirderiv_stack(Fs, info_stack(Fs, w))).max())
+        G = np.matmul(Fs, _inverse_factor(Fs, w))
+        maxd = float((q @ (G ** 2).sum(axis=2)).max())
     except np.linalg.LinAlgError:
         maxd = math.inf
     return w, maxd, history
@@ -183,17 +193,13 @@ def band_mixture(model: Model, scale: ScaleFunction, beta_min: float,
     return canonical_merge(DesignMeasure(P[keep], W[keep] / n), 0.0, 0.0)
 
 
-def _seed_mixture_weights(model: Model, betas, x: np.ndarray) -> np.ndarray:
-    """The band mixture between the extreme parameters, log scale and
-    lam = log 2, mapped to the nearest grid points, over a 10% uniform floor."""
-    d = band_mixture(model, logarithm(), float(betas[0]), float(betas[-1]),
+def band_seed(model: Model, beta_min: float, beta_max: float) -> tuple:
+    """Points and weights of the band mixture between the extreme
+    parameters, log scale and lam = log 2: the seed of the mean, and of the
+    minimum for m > 1."""
+    d = band_mixture(model, logarithm(), float(beta_min), float(beta_max),
                      math.log(2.0))
-    p = d.points_array()
-    right = np.clip(np.searchsorted(x, p), 0, len(x) - 1)
-    left = np.clip(right - 1, 0, len(x) - 1)
-    idx = np.where(np.abs(x[left] - p) < np.abs(x[right] - p), left, right)
-    w = 0.1 / len(x) + 0.9 * np.bincount(idx, d.weights_array(), len(x))
-    return w / w.sum()
+    return d.points_array(), d.weights_array()
 
 
 def audit_grid(interval, design: DesignMeasure) -> np.ndarray:
@@ -222,19 +228,18 @@ def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
     stack at x stays at _NODE_BLOCK * len(x) * m entries.
 
     d = ||f R^{-1}||^2, R the QR factor of the weighted design scores
-    sqrt(w_i) f(x_i, b) (M = R^T R): R's condition number is the square root
-    of M's, so d holds far below a design's own beta, where the inverse of M
-    is noise.  SingularInformationError for a design on fewer than m points
-    of positive weight, an exactly singular R, or a non-finite derivative.
+    (:func:`_inverse_factor`).  SingularInformationError for a design on
+    fewer than m points of positive weight, an exactly singular R, or a
+    non-finite derivative.
     """
     model.check_beta(betas)
     model.check_points(design.points)
     w = design.weights_array()
     if np.count_nonzero(w) < model.m:
         raise SingularInformationError("singular information matrix")
-    A = np.sqrt(w)[:, None] * stacked_scores(model, design.points_array(), betas)
     try:
-        Rinv = np.linalg.inv(np.linalg.qr(A, mode="r"))
+        Rinv = _inverse_factor(
+            stacked_scores(model, design.points_array(), betas), w)
     except np.linalg.LinAlgError as exc:
         raise SingularInformationError("singular information matrix") from exc
     for j in range(0, len(betas), _NODE_BLOCK):
@@ -539,9 +544,9 @@ def polish(model: Model, crit: Criterion, points, weights) -> DesignMeasure:
 
 def refine(model: Model, criterion: Criterion, x: np.ndarray,
            w: np.ndarray) -> tuple:
-    """Polish-certify-exchange from grid weights w on the points x.
+    """Polish-certify-exchange from seed weights w on the points x.
 
-    The merged grid support is moved on the continuum by :func:`polish`
+    The merged seed support is moved on the continuum by :func:`polish`
     and certified.  While the certificate fails, every peak
     of its derivative at least _EXCHANGE_NEAR from the support joins the
     support (Wynn 1970; Fedorov 1972), the new points sharing the weight

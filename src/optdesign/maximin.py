@@ -1,10 +1,10 @@
 """Standardized maximin D-optimal designs over a finite parameter grid.
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
-grid.  The weights on the fixed 2,001-point x-grid come from a linear
-program for m = 1, solved exactly, and from the mixture of local designs
-for m > 1.  Both end in :func:`local.refine`, whose polish takes the
-minimum in epigraph form.
+grid.  For m = 1 the seed is the exact solution of a linear program on a
+fixed 2,001-point x-grid; for m > 1 it is the mixture of local designs
+between the grid's ends.  Both end in :func:`local.refine`, whose polish
+takes the minimum in epigraph form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .design import DesignMeasure, canonical_merge
 from .local import (
     Criterion,
     _least_favorable_lp,
-    _seed_mixture_weights,
+    band_seed,
     build_grid,
     refine,
     solve_local,
@@ -74,9 +74,9 @@ def solve_maximin(model: Model, grid: BetaGrid):
     if len(betas) == 1:  # a single parameter value is the local problem
         return solve_local(model, float(betas[0]))
     crit = Criterion.maximin(model, betas)
-    x = build_grid(model.design_interval, extra_points=model.fixed_support)
     if model.m == 1:  # the grid problem is a linear program
+        x = build_grid(model.design_interval)
         w = _grid_maximin_lp(stacked_scores(model, x, betas), crit.offsets)
     else:
-        w = _seed_mixture_weights(model, betas, x)
+        x, w = band_seed(model, betas[0], betas[-1])
     return refine(model, crit, x, w)

@@ -38,6 +38,18 @@ class TestParameterPrior:
         with pytest.raises(ValueError):
             ParameterPrior.discrete_uniform(0)
 
+    # int() ran first: 2.5 became 2, and inf raised OverflowError
+    @pytest.mark.parametrize("L", [2.5, math.inf, -math.inf, math.nan])
+    def test_discrete_count_must_be_a_finite_integer(self, L):
+        with pytest.raises(ValueError):
+            ParameterPrior.discrete_uniform(L)
+
+    def test_discrete_count_is_stored_as_an_int(self):
+        # a stored artifact can carry (3.0,); quadrature needs an int count
+        prior = ParameterPrior("discrete_uniform", (3.0,), 1)
+        assert prior.params == (3,) and type(prior.params[0]) is int
+        np.testing.assert_array_equal(quadrature(prior)[0], [1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0),
                                         (math.nan, 1.0), (1.0, math.nan)])
     def test_uniform_bounds_must_be_finite(self, lo, hi):
@@ -244,22 +256,24 @@ class TestSeededSolve:
         assert cert.passed and design.n == n
         assert seen[0] == 21
 
-    # no certified design is known for this prior: the solve must fail
-    # closed, with a failed certificate or the documented error
-    @pytest.mark.parametrize("a", [0.5])
-    def test_exp3_truncated_exponential_fails_closed(self, a):
+    def test_exp3_far_below_its_scale_fails_closed(self):
+        # no certified design is known this far below beta = 1: the solve
+        # must fail closed, with a failed certificate or the documented error
         try:
-            _, cert = solve_bayes(EXP3, ParameterPrior.trunc_exp(a))
+            _, cert = solve_bayes(EXP3, ParameterPrior.point_mass(1e-6))
         except SingularInformationError:
             return
         assert not cert.passed
 
-    def test_exp3_truncated_exponential_certifies_at_a_small_rate(self):
-        # certified since the polish pins the fixed support {0, 1}; the
-        # certificate holds on a rule with twice the quadrature nodes
-        design, cert = solve_bayes(EXP3, ParameterPrior.trunc_exp(0.001))
+    # 0.001 certifies since the polish pins the fixed support {0, 1}, 0.1
+    # and 0.5 since the seed is the mixture itself and the weight solver
+    # takes f^T M^-1 f from the QR factor; each certificate also holds on a
+    # rule with twice the quadrature nodes
+    @pytest.mark.parametrize("a", [0.001, 0.1, 0.5])
+    def test_exp3_truncated_exponential_certifies_at_a_small_rate(self, a):
+        design, cert = solve_bayes(EXP3, ParameterPrior.trunc_exp(a))
         assert cert.passed
-        fine = prior_criterion(EXP3, ParameterPrior.trunc_exp(0.001, 800))
+        fine = prior_criterion(EXP3, ParameterPrior.trunc_exp(a, 800))
         assert certify(EXP3, design, fine).passed
 
     def test_failed_solve_returns_its_best_round(self, monkeypatch):

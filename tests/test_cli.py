@@ -214,6 +214,15 @@ class TestBayesCommand:
         doc = json.loads(out.read_text())
         assert doc["design_interval"][1] == pytest.approx(4.0)
 
+    def test_truncexp_keeps_its_own_quadrature_default(self, tmp_path):
+        # without --quad the prior keeps its 400 nodes, not uniform's 200
+        out = tmp_path / "t.json"
+        rc = main(["bayes", "--model", "exp2", "--prior", "truncexp:0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["criterion"]["prior"]["quadrature_nodes"] == 400
+
 
 class TestTheoryCommand:
     def test_q_decay_passes(self, capsys):

@@ -30,9 +30,9 @@ from optdesign.local import (
     Criterion,
     SingularInformationError,
     _least_favorable_lp,
-    _seed_mixture_weights,
     audit_grid,
     band_mixture,
+    band_seed,
     build_grid,
     certify,
     dirderiv_stack,
@@ -49,10 +49,10 @@ from optdesign.theory import construct_lower_bound_design
 
 class TestBuildGrid:
     def test_build_grid_sorted_unique(self):
-        x = build_grid((0.0, 1.0), extra_points=[0.5, 0.5, 0.1234])
+        x = build_grid((0.0, 1.0))
         assert np.all(np.diff(x) > 0)
         assert x[0] == 0.0 and x[-1] == 1.0
-        assert len(x) == 2002  # 0.5 is a grid point, 0.1234 is not
+        assert len(x) == 2001
 
 
 class TestSolveLocal:
@@ -221,8 +221,10 @@ class TestNewtonWeights:
         np.testing.assert_array_equal(w, [0.5, 0.5])
 
     # ill-conditioned local weights (condition number 1e7 at beta = 0.1034),
-    # where rounded slogdet comparisons rejected the step to the optimum
-    @pytest.mark.parametrize("beta", [0.01, 0.0118, 0.0140, 0.1034])
+    # where rounded slogdet comparisons rejected the step to the optimum;
+    # 1e-3 and 1e-4 certify since the weight solver takes f^T M^-1 f from
+    # the QR factor, not from an inverse of M
+    @pytest.mark.parametrize("beta", [1e-4, 1e-3, 0.01, 0.0118, 0.0140, 0.1034])
     def test_exp3_small_beta_certifies_from_the_seed(self, beta):
         _, cert = solve_local(EXP3, beta)
         assert cert.passed
@@ -256,16 +258,11 @@ class TestSeedMixture:
     @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3], ids=lambda m: m.name)
     def test_seed_mass_sits_on_the_lower_bound_design(self, model):
         # span log 40 >= 4 log 2: the seed is the lower-bound band mixture
-        # mapped to the nearest grid points, over a 10% uniform floor
-        x = build_grid(model.design_interval,
-                       extra_points=list(model.fixed_support))
-        w = _seed_mixture_weights(model, np.array([1.0, 40.0]), x)
+        x, w = band_seed(model, 1.0, 40.0)
         xi = construct_lower_bound_design(model, logarithm(), 1.0, 40.0,
                                           math.log(2.0))
-        idx = np.abs(x[:, None] - xi.points_array()[None, :]).argmin(axis=0)
-        want = np.full(len(x), 0.1 / len(x))
-        np.add.at(want, idx, 0.9 * xi.weights_array())
-        np.testing.assert_allclose(w, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(x, xi.points_array())
+        np.testing.assert_array_equal(w, xi.weights_array())
 
     @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3], ids=lambda m: m.name)
     def test_point_range_gives_the_local_design(self, model):
@@ -374,8 +371,7 @@ def _exp1_grid_game(B):
     on [1, B]: rows are design points, columns parameter values."""
     betas = BetaGrid(1.0, float(B)).values
     offsets = Criterion.maximin(EXP1, betas).offsets
-    x = build_grid(EXP1.design_interval,
-                   extra_points=list(EXP1.fixed_support))
+    x = build_grid(EXP1.design_interval)
     Fs = stacked_scores(EXP1, x, betas)
     return -(Fs[:, :, 0] ** 2 * np.exp(-offsets)[:, None]).T
 
