@@ -17,7 +17,7 @@ import numpy as np
 
 from .bayes import ParameterPrior, prior_criterion
 from .design import DesignMeasure
-from .local import Criterion, EquivalenceCertificate, certify
+from .local import Criterion, EquivalenceCertificate, MatrixGameError, certify
 from .maximin import BetaGrid
 from .models import Model, get_model, make_logistic
 
@@ -128,8 +128,9 @@ def write_plot_data(
 ) -> list:
     """Emit the derivative curve x -> d(x, xi) and, for parametrized
     criteria, the efficiency curve beta -> eff(xi, beta).  The maximin
-    derivative is averaged over the certificate's least-favorable weights.
-    Returns the written paths."""
+    derivative is averaged over the certificate's least-favorable weights;
+    MatrixGameError when the certificate has none.  Returns the written
+    paths."""
     criterion = _criterion_dict(criterion)
     crit = _criterion(model, criterion)
     lo, hi = model.design_interval
@@ -137,6 +138,8 @@ def write_plot_data(
     curve = crit
     if crit.q is None:
         mu = certify(model, design, crit).least_favorable_weights
+        if mu is None:
+            raise MatrixGameError("the Wong audit's matrix game is unsolved")
         curve = Criterion(np.array(list(mu)), np.array(list(mu.values())),
                           np.zeros(len(mu)))
     paths = [f"{prefix}.dirderiv.txt"]

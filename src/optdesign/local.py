@@ -44,15 +44,26 @@ _EXCHANGE_WEIGHT = 0.03  # refine: weight shared by the inserted audit points
 _EXCHANGE_NEAR = 1e-6  # refine: a peak this near the support is not inserted
 _GAME_STRIDE = 20  # matrix game: the first restricted game takes every 20th
 _GAME_TOL = 1e-12  # matrix game: generation tolerance, relative to max|dmat|
-# HiGHS at its tightest feasibility tolerances: at the default 1e-7 the last
-# restricted game of the degenerate EXP1 grid at B = 150 ends with in-set
-# duals 8e-8 off, and its mu 1.4e-8 above the game value
+# HiGHS on a restricted game divided by max|dmat|: at the default 1e-7
+# feasibility tolerances the last restricted game of the degenerate EXP1
+# grid at B = 150 ended with in-set duals 8e-8 off, and its mu 1.4e-8 above
+# the game value; presolve cannot shrink a small dense game, and took a
+# quarter of the game time of the maximin benchmark workloads
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
-                  "dual_feasibility_tolerance": 1e-10}
+                  "dual_feasibility_tolerance": 1e-10,
+                  "presolve": False}
+# largest restricted gap max(mu^T D) - min(D p) accepted, relative to
+# max|dmat|: HiGHS's internal scaling lets sound answers reach 3.3e-10
+_GAME_GAP = 1e-8
 
 
 class SingularInformationError(ArithmeticError):
     """Directional derivative requested at a singular information matrix."""
+
+
+class MatrixGameError(ArithmeticError):
+    """A restricted matrix game that neither HiGHS's default method nor its
+    interior-point retry solves to within _GAME_GAP."""
 
 
 @dataclass(frozen=True)
@@ -344,7 +355,13 @@ def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     """Solve the game on dmat[rows][:, cols]: min t s.t. mu^T dmat <= t,
     passed to HiGHS divided by scale.  Returns (mu, p, t): the row mix mu
     and the column mix p, the duals of the column constraints, both on the
-    restricted index sets, and the value t of the unscaled game."""
+    restricted index sets, and the value t of the unscaled game.
+
+    An answer counts only if numpy confirms it: mu and p, clipped to
+    probability vectors, bound the value from both sides, and their gap
+    max(mu^T D) - min(D p), D the divided game, must be at most _GAME_GAP.
+    A HiGHS failure or a failed check is retried once with ``highs-ipm``,
+    then MatrixGameError."""
     sub = dmat[np.ix_(rows, cols)] / scale
     A, n = sub.shape
     c = np.zeros(A + 1)
@@ -353,14 +370,21 @@ def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     A_eq = np.zeros((1, A + 1))
     A_eq[0, :A] = 1.0
     bounds = [(0.0, None)] * A + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs", options=_HIGHS_OPTIONS)
-    if not res.success:
-        raise RuntimeError(f"matrix game LP failed: {res.message}")
-    return res.x[:A], -res.ineqlin.marginals, float(res.x[-1]) * scale
+    for method in ("highs", "highs-ipm"):
+        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
+                      bounds=bounds, method=method, options=_HIGHS_OPTIONS)
+        if res.success:
+            mu, p = res.x[:A], -res.ineqlin.marginals
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mu_c, p_c = np.clip(mu, 0.0, None), np.clip(p, 0.0, None)
+                mu_c, p_c = mu_c / mu_c.sum(), p_c / p_c.sum()
+                if (mu_c @ sub).max() - (sub @ p_c).min() <= _GAME_GAP:
+                    return mu, p, float(res.x[-1]) * scale
+    reason = "no gap check passed" if res.success else res.message
+    raise MatrixGameError(f"{A} x {n} restricted matrix game unsolved: {reason}")
 
 
-def _least_favorable_lp(dmat: np.ndarray):
+def _least_favorable_lp(dmat: np.ndarray, cols=()):
     """Probability vector mu over the rows of dmat minimizing the largest
     entry of mu^T dmat: a matrix game solved as a linear program.
 
@@ -369,21 +393,25 @@ def _least_favorable_lp(dmat: np.ndarray):
 
     The optimal strategies live on a few rows and columns, so the game is
     solved by row and column generation.  The restricted game starts on
-    every _GAME_STRIDE-th row and column plus the last.  Each round adds
-    every column c with (mu^T dmat)_c > t + tol and every row r with
-    (dmat p)_r < t - tol, where t is the restricted value and p the
-    restricted column mix.  Sets only grow, and at worst the loop
-    ends on the full game, so it needs no round cap.  It stops when neither
-    set grows.  The restricted LP bounds the in-set columns and rows,
-    and the generation test the others, so then max(mu^T dmat) <= t + tol
-    and min(dmat p) >= t - tol: mu and p are a primal-dual pair of the full
-    game within a gap of 2 tol, plus the restricted solves' own error
-    (_HIGHS_OPTIONS), with tol = _GAME_TOL * max|dmat|.  HiGHS gets each
-    restricted game divided by max|dmat|, which has the same strategies:
-    unscaled, it ended the Wong audit of an EXP2 design on [1, 150] in
-    status 15.  A non-finite entry raises ArithmeticError before any LP (a
-    NaN compares False and would never enter a set), and so does an
-    all-zero payoff.
+    every _GAME_STRIDE-th row and column plus the last, on every row when
+    there are at most _GAME_STRIDE of them (the stride would take two),
+    and on the caller's extra columns cols: the Wong audit passes the
+    design's support, where a passing design's derivative sits at m.  Each
+    round adds every column c with (mu^T dmat)_c > t + tol and every row r
+    with (dmat p)_r < t - tol, where t is the restricted value and p the
+    restricted column mix.  Sets only grow, and at worst the loop ends on
+    the full game, so it needs no round cap.  It stops when neither set
+    grows.  The restricted LP bounds the in-set columns and rows, and the
+    generation test the others, so then max(mu^T dmat) <= t + tol and
+    min(dmat p) >= t - tol: mu and p are a primal-dual pair of the full
+    game within a gap of 2 tol + _GAME_GAP * max|dmat|, with tol =
+    _GAME_TOL * max|dmat| (:func:`_restricted_game` checks the second term).
+    HiGHS gets each restricted game divided by max|dmat|, which has the
+    same strategies: unscaled, it ended the Wong audit of an EXP2 design on
+    [1, 150] in status 15.  A non-finite entry raises ArithmeticError
+    before any LP (a NaN compares False and would never enter a set), and
+    so does an all-zero payoff; a one-row game is then mu = [1] without an
+    LP.  MatrixGameError if a restricted game stays unsolved.
     """
     if not np.all(np.isfinite(dmat)):
         raise ArithmeticError("matrix game has a non-finite payoff")
@@ -391,11 +419,15 @@ def _least_favorable_lp(dmat: np.ndarray):
     if scale == 0.0:
         raise ArithmeticError("matrix game has an all-zero payoff")
     A, n = dmat.shape
+    if A == 1:
+        return np.ones(1)
     tol = _GAME_TOL * scale
     in_rows = np.zeros(A, dtype=bool)
     in_cols = np.zeros(n, dtype=bool)
-    in_rows[np.r_[0:A:_GAME_STRIDE, A - 1]] = True
-    in_cols[np.r_[0:n:_GAME_STRIDE, n - 1]] = True
+    in_rows[::_GAME_STRIDE if A > _GAME_STRIDE else 1] = True
+    in_cols[::_GAME_STRIDE] = True
+    in_rows[-1] = in_cols[-1] = True
+    in_cols[np.asarray(cols, dtype=int)] = True
     while True:
         rows, cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
         mu_r, p_c, t = _restricted_game(dmat, rows, cols, scale)
@@ -420,7 +452,9 @@ def certify(model: Model, design: DesignMeasure,
     stay below m and sit at m on the support.  Both fail unless the
     xi-average of the derivative, sum_i w_i d(x_i) = m for any nonsingular
     design, holds to the tolerance: a derivative built from an inverse
-    that rounding has destroyed reads low everywhere.
+    that rounding has destroyed reads low everywhere.  A Wong game that
+    stays unsolved (MatrixGameError) fails too, with an infinite max
+    derivative, a NaN worst point and no weights.
     """
     ax = audit_grid(model.design_interval, design)
     sup_idx = np.searchsorted(ax, design.points_array())  # ax holds the points
@@ -434,7 +468,11 @@ def certify(model: Model, design: DesignMeasure,
         betas = criterion.betas[active]
         dmat = np.concatenate(
             [dj for _, dj in _node_derivatives(model, design, betas, ax)])
-        weights = _least_favorable_lp(dmat)
+        try:
+            weights = _least_favorable_lp(dmat, sup_idx)
+        except MatrixGameError:  # fails closed: no weights, no pass
+            return EquivalenceCertificate(math.inf, float(model.m), ACTIVE_TOL,
+                                          math.nan, False)
         d = weights @ dmat
         tol = ACTIVE_TOL
         support_ok = bool(np.all(np.abs(d[sup_idx] - model.m) <= 1e-4 * model.m))

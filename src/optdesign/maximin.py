@@ -69,7 +69,10 @@ def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def solve_maximin(model: Model, grid: BetaGrid):
-    """Standardized maximin D-optimal design with a least-favorable certificate."""
+    """Standardized maximin D-optimal design with a least-favorable
+    certificate.  A Wong game that HiGHS leaves unsolved fails the
+    certificate.  For m = 1 the seed is itself a grid game, and an
+    unsolved one raises local.MatrixGameError."""
     betas = grid.values
     if len(betas) == 1:  # a single parameter value is the local problem
         return solve_local(model, float(betas[0]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,6 +21,10 @@ class ScaleFunction:
     kind: str  # "identity" | "logarithm" | "density-integral"
     # elementwise on a float array; every built-in ell is written in numpy
     _ell: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    # the exact inverse of ell, elementwise, where a closed form exists: it
+    # only narrows the first bracket of invert
+    _inverse: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False)
 
     def __call__(self, beta):
         """ell(beta): a float for a scalar beta, for an array the array of
@@ -40,6 +44,12 @@ class ScaleFunction:
         adjacent doubles, the midpoint rounds to an end and no step changes
         (lo, hi) again, so it leaves the bisection.  A target outside
         [ell(beta_min), ell(beta_max)], or NaN, raises ValueError.
+
+        With an exact inverse g = inverse(t), a target that ell brackets on
+        [g (1 - 1e-12), g (1 + 1e-12)], clipped to the range, ell below t at
+        the left end and at least t at the right, as every bisection bracket
+        is, starts from that bracket instead of [beta_min, beta_max]; for a
+        nondecreasing ell both starts end on the same two adjacent doubles.
         """
         t = np.asarray(target, dtype=float)
         flo, fhi = self(beta_min), self(beta_max)
@@ -50,6 +60,12 @@ class ScaleFunction:
         t = t.ravel()
         lo = np.full(t.shape, float(beta_min))
         hi = np.full(t.shape, float(beta_max))
+        if self._inverse is not None:
+            g = self._inverse(t)
+            a = np.clip(g * (1.0 - 1e-12), beta_min, beta_max)
+            b = np.clip(g * (1.0 + 1e-12), beta_min, beta_max)
+            narrow = (self._ell(a) < t) & (t <= self._ell(b))
+            lo[narrow], hi[narrow] = a[narrow], b[narrow]
         live = np.arange(t.size)
         for _ in range(200):
             if not live.size:
@@ -65,11 +81,11 @@ class ScaleFunction:
 
 
 def identity() -> ScaleFunction:
-    return ScaleFunction("identity", lambda b: b)
+    return ScaleFunction("identity", lambda b: b, lambda t: t)
 
 
 def logarithm() -> ScaleFunction:
-    return ScaleFunction("logarithm", np.log)
+    return ScaleFunction("logarithm", np.log, np.exp)
 
 
 def density_integral(density: Callable[[float], float], lower: float) -> ScaleFunction:

@@ -322,3 +322,31 @@ class TestArrayScaleInversion:
                 scale.invert(bad, lo, hi)
             with pytest.raises(ValueError):
                 scale.invert(np.array([flo, bad, fhi]), lo, hi)
+
+    @pytest.mark.parametrize("scale, lo, hi", [
+        (identity(), 1.0, 100.0), (identity(), 0.0, 5.0),
+        (logarithm(), 1.0, 150.0), (logarithm(), 1e-6, 1.0),
+        (logarithm(), 2.0, 2.0000001),
+    ], ids=["identity", "identity-from-0", "logarithm", "log-below-1",
+            "log-narrow"])
+    def test_exact_inverse_only_narrows_the_first_bracket(self, scale, lo, hi):
+        # the same fixed point as bisection from [lo, hi], with fewer ell
+        # evaluations; the range ends and their neighbours keep the full
+        # bracket
+        calls = {"narrow": 0, "full": 0}
+
+        def counted(key):
+            def ell(b):
+                calls[key] += np.size(b)
+                return scale(b)
+            return ell
+
+        narrow = ScaleFunction(scale.kind, counted("narrow"), scale._inverse)
+        full = ScaleFunction(scale.kind, counted("full"))
+        flo, fhi = scale(lo), scale(hi)
+        targets = np.r_[np.linspace(flo, fhi, 501),
+                        np.random.default_rng(2).uniform(flo, fhi, 500),
+                        np.nextafter(flo, fhi), np.nextafter(fhi, flo)]
+        assert narrow.invert(targets, lo, hi).tolist() == (
+            full.invert(targets, lo, hi).tolist())
+        assert calls["narrow"] < calls["full"]

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import OptimizeResult, linprog, minimize_scalar
+
+import optdesign.io
+import optdesign.local
 
 from optdesign import (
     EXP1,
@@ -27,7 +30,9 @@ from optdesign import (
 from optdesign.bayes import prior_criterion
 from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
 from optdesign.local import (
+    _GAME_STRIDE,
     Criterion,
+    MatrixGameError,
     SingularInformationError,
     _least_favorable_lp,
     audit_grid,
@@ -459,15 +464,142 @@ class TestLeastFavorableLP:
                        Criterion.maximin(EXP2, BetaGrid(1.0, 150.0).values))
         assert cert.least_favorable_weights
 
+    def test_one_row_game_needs_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a one-row game called linprog")
+
+        monkeypatch.setattr(optdesign.local, "linprog", no_lp)
+        mu = _least_favorable_lp(np.array([[0.5, -2.0, 3.0]]))
+        assert mu.tolist() == [1.0]
+        # the payoff checks still come first
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            _least_favorable_lp(np.array([[0.5, np.nan]]))
+        with pytest.raises(ArithmeticError, match="all-zero"):
+            _least_favorable_lp(np.zeros((1, 30)))
+
+    def test_support_start_matches_the_stride_start(self, maximin_results,
+                                                    monkeypatch):
+        # certify starts the Wong game on the design's support columns as
+        # well: the same value, and the weights on the same betas
+        seen = []
+
+        def recording(dmat, cols=()):
+            seen.append((dmat, np.asarray(cols)))
+            return _least_favorable_lp(dmat, cols)
+
+        monkeypatch.setattr(optdesign.local, "_least_favorable_lp", recording)
+        for B, (design, _, _) in maximin_results.items():
+            seen.clear()
+            crit = Criterion.maximin(EXP1, BetaGrid(1.0, float(B)).values)
+            cert = certify(EXP1, design, crit)
+            (dmat, cols), = seen
+            ax = audit_grid(EXP1.design_interval, design)
+            assert ax[cols].tolist() == design.points_array().tolist()
+            mu, mu_stride = _least_favorable_lp(dmat, cols), _least_favorable_lp(dmat)
+            assert abs((mu @ dmat).max() - (mu_stride @ dmat).max()) <= (
+                1e-9 * np.abs(dmat).max())
+            assert (np.flatnonzero(mu > 1e-12).tolist()
+                    == np.flatnonzero(mu_stride > 1e-12).tolist())
+            assert len(cert.least_favorable_weights) == np.count_nonzero(mu > 1e-12)
+
     @staticmethod
     def _check(dmat):
+        # from the stride alone, and with extra start columns: off the
+        # stride, the same ones twice, and every column
+        n, value = dmat.shape[1], _dense_game_value(dmat)
+        off = np.arange(1, n, 7)
+        off = off[off % _GAME_STRIDE != 0]
+        for cols in ((), off, np.r_[off, off[::-1]], np.arange(n)):
+            mu = _least_favorable_lp(dmat, cols)
+            assert mu.shape == (dmat.shape[0],)
+            assert np.all(mu >= 0.0)
+            np.testing.assert_allclose(mu.sum(), 1.0, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose((mu @ dmat).max(), value, rtol=0.0,
+                                       atol=1e-7 * np.abs(dmat).max())
+
+
+def _failed_lp(*args, **kwargs):
+    return OptimizeResult(success=False, status=4, x=None,
+                          message="forced numerical failure")
+
+
+class TestMatrixGameFailsClosed:
+    """A restricted game that HiGHS cannot solve is retried once with
+    highs-ipm; if that fails too, MatrixGameError, which the certificate
+    turns into a failed audit."""
+
+    def test_failed_default_method_is_retried_with_ipm(self, monkeypatch):
+        methods = []
+
+        def first_fails(*args, **kwargs):
+            methods.append(kwargs["method"])
+            if kwargs["method"] == "highs":
+                return _failed_lp()
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(optdesign.local, "linprog", first_fails)
+        dmat = _off_stride_game()
         mu = _least_favorable_lp(dmat)
-        assert mu.shape == (dmat.shape[0],)
-        assert np.all(mu >= 0.0)
-        np.testing.assert_allclose(mu.sum(), 1.0, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            (mu @ dmat).max(), _dense_game_value(dmat), rtol=0.0,
-            atol=1e-7 * np.abs(dmat).max())
+        assert methods[:2] == ["highs", "highs-ipm"]
+        assert np.flatnonzero(mu).tolist() == [7, 33]
+        np.testing.assert_allclose((mu @ dmat).max(), 0.75, rtol=0.0, atol=1e-9)
+
+    def test_unconfirmed_answer_is_retried_with_ipm(self, monkeypatch):
+        # HiGHS reports success with a row mix that is no equilibrium: the
+        # numpy check of its gap rejects it
+        methods = []
+
+        def wrong_answer(*args, **kwargs):
+            methods.append(kwargs["method"])
+            res = linprog(*args, **kwargs)
+            if kwargs["method"] == "highs":
+                res.x[:-1] = np.eye(len(res.x) - 1)[0]
+            return res
+
+        monkeypatch.setattr(optdesign.local, "linprog", wrong_answer)
+        dmat = _random_games()[4]
+        mu = _least_favorable_lp(dmat)
+        assert "highs-ipm" in methods
+        np.testing.assert_allclose((mu @ dmat).max(), _dense_game_value(dmat),
+                                   rtol=0.0, atol=1e-7 * np.abs(dmat).max())
+
+    def test_unsolved_game_raises_matrix_game_error(self, monkeypatch):
+        monkeypatch.setattr(optdesign.local, "linprog", _failed_lp)
+        assert issubclass(MatrixGameError, ArithmeticError)
+        assert not issubclass(MatrixGameError, RuntimeError)
+        with pytest.raises(MatrixGameError, match="forced numerical failure"):
+            _least_favorable_lp(_off_stride_game())
+
+    def test_certificate_fails_closed(self, maximin_results, monkeypatch,
+                                      tmp_path):
+        design = maximin_results[50][0]
+        crit = Criterion.maximin(EXP1, BetaGrid(1.0, 50.0).values)
+        assert certify(EXP1, design, crit).passed
+        monkeypatch.setattr(optdesign.local, "linprog", _failed_lp)
+        failed = certify(EXP1, design, crit)
+        assert not failed.passed
+        assert failed.max_directional_derivative == math.inf
+        assert failed.least_favorable_weights is None
+        assert failed.peaks == ()
+        # the stored artifact's audit fails the same way
+        recert = optdesign.io.recertify(
+            EXP1, design, {"kind": "maximin", "beta_min": 1.0, "beta_max": 50.0,
+                           "count": 400})
+        assert not recert.passed and recert.max_directional_derivative == math.inf
+        # the plot data has no weights to average the derivative over
+        with pytest.raises(MatrixGameError):
+            optdesign.io.write_plot_data(str(tmp_path / "plot"), EXP1, design,
+                                         BetaGrid(1.0, 50.0))
+
+    def test_solve_maximin_returns_a_failed_certificate(self, monkeypatch):
+        # m > 1 seeds from the band mixture, so only the audit plays a game;
+        # every refine round fails and the solve returns its best one
+        monkeypatch.setattr(optdesign.local, "linprog", _failed_lp)
+        design, cert = solve_maximin(EXP2, BetaGrid(1.0, 4.0, 20))
+        assert not cert.passed and design.n >= 2
+        # the m = 1 seed is the grid game itself
+        with pytest.raises(MatrixGameError):
+            solve_maximin(EXP1, BetaGrid(1.0, 50.0))
 
 
 def _h_extended(x, beta):
