@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,12 +39,13 @@ class ParameterPrior:
 
     kinds: uniform(lo, hi); trunc_exp(a) with density c*a*e^{-a b} on
     [0, 1/a), c = 1/(1 - e^{-1}); discrete_uniform(L) on {1, ..., L};
-    point_mass(b).
+    point_mass(b).  quadrature_nodes defaults to the kind's own: 200 for
+    uniform, 400 for trunc_exp, 1 for the discrete and point priors.
     """
 
     kind: str
     params: tuple
-    quadrature_nodes: int = 200
+    quadrature_nodes: Optional[int] = None
 
     def __post_init__(self):
         if self.kind == "uniform":
@@ -65,24 +67,27 @@ class ParameterPrior:
                 raise ValueError("point mass must be finite")
         else:
             raise ValueError(f"unknown prior kind {self.kind!r}")
+        if self.quadrature_nodes is None:
+            nodes = {"uniform": 200, "trunc_exp": 400}.get(self.kind, 1)
+            object.__setattr__(self, "quadrature_nodes", nodes)
         if self.quadrature_nodes < 1:
             raise ValueError("quadrature_nodes must be positive")
 
     @staticmethod
-    def uniform(lo: float, hi: float, quadrature_nodes: int = 200):
+    def uniform(lo: float, hi: float, quadrature_nodes: Optional[int] = None):
         return ParameterPrior("uniform", (float(lo), float(hi)), quadrature_nodes)
 
     @staticmethod
-    def trunc_exp(a: float, quadrature_nodes: int = 400):
+    def trunc_exp(a: float, quadrature_nodes: Optional[int] = None):
         return ParameterPrior("trunc_exp", (float(a),), quadrature_nodes)
 
     @staticmethod
     def discrete_uniform(L: int):
-        return ParameterPrior("discrete_uniform", (L,), 1)
+        return ParameterPrior("discrete_uniform", (L,))
 
     @staticmethod
     def point_mass(beta: float):
-        return ParameterPrior("point_mass", (float(beta),), 1)
+        return ParameterPrior("point_mass", (float(beta),))
 
     @property
     def support_interval(self) -> tuple:

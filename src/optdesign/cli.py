@@ -32,12 +32,11 @@ from .theory import (
 def _parse_prior(text: str, quad) -> ParameterPrior:
     parts = text.split(":")
     kind = parts[0]
-    nodes = {} if quad is None else {"quadrature_nodes": quad}
     try:
         if kind == "uniform":
-            return ParameterPrior.uniform(float(parts[1]), float(parts[2]), **nodes)
+            return ParameterPrior.uniform(float(parts[1]), float(parts[2]), quad)
         if kind == "truncexp":
-            return ParameterPrior.trunc_exp(float(parts[1]), **nodes)
+            return ParameterPrior.trunc_exp(float(parts[1]), quad)
         if kind == "discrete":
             return ParameterPrior.discrete_uniform(int(parts[1]))
         if kind == "point":
@@ -156,10 +155,8 @@ def _cmd_theory(args) -> int:
     lam = args.lam if args.lam is not None else lam_default
 
     if args.check == "q-decay":
-        if scale.kind == "logarithm":
-            samples = np.geomspace(lo, hi, args.samples)
-        else:
-            samples = np.linspace(lo, hi, args.samples)
+        samples = scale.invert(
+            np.linspace(scale(lo), scale(hi), args.samples), lo, hi)
         report = check_uniform_decrease(model, scale, envelope, samples)
     elif args.check == "cond29":
         m = model.m

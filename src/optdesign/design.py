@@ -148,7 +148,9 @@ def stacked_scores(model, x: np.ndarray, betas, dx: bool = False) -> np.ndarray:
 
     One broadcast call of ``model.score`` through ``model.score_matrix``;
     see :class:`Model` for the contract (``x`` broadcasts against ``beta``,
-    parameter axis last), which ``score_dx`` shares.
+    parameter axis last), which ``score_dx`` shares.  Every score in the
+    package comes through here, so a score that works only for a scalar
+    beta raises ValueError on every path.
     """
     x = np.asarray(x, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -175,16 +177,13 @@ def _score_stack(model, x: np.ndarray, beta) -> np.ndarray:
     """Checked scores at x as a (J, n, m) stack: one matrix for a scalar
     beta, one per entry of a 1-D array of beta."""
     model.check_beta(beta)
-    if np.ndim(beta) == 0:
-        return model.score_matrix(x, beta)[None]
-    return stacked_scores(model, x, beta)
+    return stacked_scores(model, x, np.atleast_1d(beta))
 
 
 def information_matrix(design: DesignMeasure, model, beta: float) -> InfoMatrix:
     """M(xi, beta) = sum_k w_k f(x_k, beta) f(x_k, beta)^T."""
-    model.check_beta(beta)
     model.check_points(design.points)
-    F = model.score_matrix(design.points_array(), beta)  # (n, m)
+    (F,) = _score_stack(model, design.points_array(), beta)  # (n, m)
     w = design.weights_array()
     a = F.T @ (F * w[:, None])
     return InfoMatrix(0.5 * (a + a.T))

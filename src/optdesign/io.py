@@ -82,7 +82,7 @@ def _model_from_doc(doc: dict) -> Model:
 def _prior(criterion: dict) -> ParameterPrior:
     p = criterion["prior"]
     return ParameterPrior(p["kind"], tuple(p["params"]),
-                          p.get("quadrature_nodes", 200))
+                          p.get("quadrature_nodes"))
 
 
 def _criterion(model: Model, criterion: dict) -> Criterion:

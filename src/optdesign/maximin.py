@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMeasure, canonical_merge
+from .design import DesignMeasure, default_merge
 from .local import (
     Criterion,
     _least_favorable_lp,
@@ -54,10 +54,11 @@ def maximin_criterion(design: DesignMeasure, model: Model, grid: BetaGrid):
     return float(math.exp(g[j])), float(betas[j])
 
 
-def support_count(design: DesignMeasure, interval=(0.0, 1.0)) -> int:
-    """Number of support points after the canonical reporting merge."""
-    lo, hi = interval
-    return canonical_merge(design, 1e-3 * (hi - lo), 1e-3).n
+def support_count(design: DesignMeasure, model: Model) -> int:
+    """Number of support points after the merge that the solvers apply,
+    design.default_merge on the model's interval: a point near the model's
+    fixed support counts apart from it."""
+    return default_merge(design, model).n
 
 
 def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Each model carries the Fisher score vector f(x, beta) (so that the pointwise
 information is the rank-one product f f^T), the design interval, and, where
-available, the analytic local D-optimal design.  Custom models can be built
-by instantiating :class:`Model` with a vectorized score function: ``x``
+available, the analytic local D-optimal designs.  Every callable on a model
+takes arrays and returns stacks.  Custom models can be built by
+instantiating :class:`Model` with a vectorized score function: ``x``
 broadcasts against ``beta`` and the parameter axis is last, so one call
 scores every grid point under every parameter value.
 """
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-from .design import DesignMeasure
 
 
 class BetaDomainError(ValueError):
@@ -31,13 +30,14 @@ class Model:
     ``np.broadcast_shapes(np.shape(x), np.shape(beta)) + (m,)``: ``x``
     broadcasts against ``beta`` and the parameter axis is last.  The solvers
     call it through :meth:`score_matrix`, once per array of parameter
-    values, to get all score matrices as a ``(J, n, m)`` stack.
+    values, to get all score matrices as a ``(J, n, m)`` stack; a scalar
+    beta is a stack of one.
 
     ``analytic_local(betas)``, if given, maps a 1-D array of J parameter
     values to the local D-optimal designs as ``(J, n)`` arrays of points and
     weights; zero weights pad a shorter design.  Without it local designs
-    come from the numeric solve.  The built-in oracles also map a scalar
-    beta to its :class:`DesignMeasure`.
+    come from the numeric solve.  The one design at a scalar beta is
+    ``local.local_design(model, beta)``, checked and cached.
 
     ``score_dx(x, beta)``, if given, is the x-derivative of ``score`` under
     the same broadcast contract.  The polish then has the exact Jacobian
@@ -86,31 +86,12 @@ class Model:
         if bad.any():
             raise ValueError(f"design point {x[bad][0]} outside interval [{lo}, {hi}]")
 
-    def score_matrix(self, x: np.ndarray, beta) -> np.ndarray:
-        """Scores at many points: an (n, m) array for a scalar ``beta``; for
-        a 1-D array of J values, one broadcast call giving the (J, n, m)
-        stack, at the same n points for every value or, for x of shape
-        (J, n), at row j of x for value j."""
-        x = np.asarray(x, dtype=float)
-        if np.ndim(beta) == 1:
-            return self.score(np.atleast_2d(x), np.asarray(beta)[:, None])
-        F = np.atleast_2d(self.score(x, beta))
-        if F.shape[0] == self.m and F.shape[1] != self.m:
-            F = F.T
-        return F
-
-
-def _builtin_local(stack):
-    """A built-in oracle: stack maps a 1-D array of beta to the (J, n) points
-    and weights; a scalar beta gives its DesignMeasure."""
-
-    def local(beta):
-        if np.ndim(beta) == 0:
-            P, W = stack(np.array([float(beta)]))
-            return DesignMeasure(P[0], W[0])
-        return stack(np.asarray(beta, dtype=float))
-
-    return local
+    def score_matrix(self, x: np.ndarray, betas) -> np.ndarray:
+        """Scores for a 1-D array of J parameter values: one broadcast call
+        giving the (J, n, m) stack, at the same n points for every value
+        or, for x of shape (J, n), at row j of x for value j.  Callers go
+        through design.stacked_scores, which checks the shape."""
+        return self.score(np.atleast_2d(x), np.asarray(betas)[:, None])
 
 
 def _exp1_score(x, beta):
@@ -195,7 +176,7 @@ def make_logistic(x_max: float = 30.0) -> Model:
         beta_range=(0.0, math.inf),
         score=_logistic_score,
         score_dx=_logistic_score_dx,
-        analytic_local=_builtin_local(local),
+        analytic_local=local,
     )
 
 
@@ -207,7 +188,7 @@ EXP1 = Model(
     beta_range=(1e-12, math.inf),
     score=_exp1_score,
     score_dx=_exp1_score_dx,
-    analytic_local=_builtin_local(_exp1_local),
+    analytic_local=_exp1_local,
 )
 
 EXP2 = Model(
@@ -218,7 +199,7 @@ EXP2 = Model(
     beta_range=(1e-12, math.inf),
     score=_exp2_score,
     score_dx=_exp2_score_dx,
-    analytic_local=_builtin_local(_exp2_local),
+    analytic_local=_exp2_local,
     fixed_support=(0.0,),
 )
 
@@ -230,7 +211,7 @@ EXP3 = Model(
     beta_range=(1e-12, math.inf),
     score=_exp3_score,
     score_dx=_exp3_score_dx,
-    analytic_local=_builtin_local(_exp3_local),
+    analytic_local=_exp3_local,
     fixed_support=(0.0, 1.0),
 )
 

@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 @dataclass(frozen=True)
 class ScaleFunction:
-    kind: str  # "identity" | "logarithm" | "density-integral"
     # elementwise on a float array; every built-in ell is written in numpy
     _ell: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     # the exact inverse of ell, elementwise, where a closed form exists: it
@@ -43,7 +42,10 @@ class ScaleFunction:
         Each element stops at its own fixed point: once its bracket is two
         adjacent doubles, the midpoint rounds to an end and no step changes
         (lo, hi) again, so it leaves the bisection.  A target outside
-        [ell(beta_min), ell(beta_max)], or NaN, raises ValueError.
+        [ell(beta_min), ell(beta_max)], or NaN, raises ValueError.  An
+        element still bisecting after 200 halvings keeps its midpoint only
+        if ell there is within 1e-12 (ell(beta_max) - ell(beta_min)) of its
+        target; otherwise ArithmeticError.
 
         With an exact inverse g = inverse(t), a target that ell brackets on
         [g (1 - 1e-12), g (1 + 1e-12)], clipped to the range, ell below t at
@@ -77,15 +79,20 @@ class ScaleFunction:
             lo[live[below]] = mid[below]
             hi[live[~below]] = mid[~below]
         beta = 0.5 * (lo + hi)
+        if live.size:
+            miss = np.abs(self._ell(beta[live]) - t[live]).max()
+            if not miss <= 1e-12 * (fhi - flo):  # NaN fails too
+                raise ArithmeticError(f"bisection stopped after 200 halvings "
+                                      f"with ell {miss} from its target")
         return float(beta[0]) if np.ndim(target) == 0 else beta.reshape(np.shape(target))
 
 
 def identity() -> ScaleFunction:
-    return ScaleFunction("identity", lambda b: b, lambda t: t)
+    return ScaleFunction(lambda b: b, lambda t: t)
 
 
 def logarithm() -> ScaleFunction:
-    return ScaleFunction("logarithm", np.log, np.exp)
+    return ScaleFunction(np.log, np.exp)
 
 
 def density_integral(density: Callable[[float], float], lower: float) -> ScaleFunction:
@@ -98,7 +105,7 @@ def density_integral(density: Callable[[float], float], lower: float) -> ScaleFu
         val, _ = quad(density, lower, b, limit=200)
         return val
 
-    return ScaleFunction("density-integral", np.vectorize(ell, otypes=[float]))
+    return ScaleFunction(np.vectorize(ell, otypes=[float]))
 
 
 def step(atoms) -> ScaleFunction:
@@ -108,7 +115,7 @@ def step(atoms) -> ScaleFunction:
     def ell(b):
         return np.searchsorted(pts, b, side="right").astype(float)
 
-    return ScaleFunction("density-integral", ell)
+    return ScaleFunction(ell)
 
 
 def truncated_exponential(a: float) -> ScaleFunction:
@@ -123,4 +130,4 @@ def truncated_exponential(a: float) -> ScaleFunction:
     def ell(b):
         return c / math.sqrt(a) * (1.0 - np.exp(-a * np.clip(b, 0.0, 1.0 / a)))
 
-    return ScaleFunction("density-integral", ell)
+    return ScaleFunction(ell)

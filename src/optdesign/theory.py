@@ -292,7 +292,7 @@ def _growth_row(model: Model, criterion: str, B: float) -> GrowthRow:
             value = bayes_criterion(design, model, prior, standardized=True)
         return GrowthRow(
             B=B,
-            support_count=support_count(design, model.design_interval),
+            support_count=support_count(design, model),
             value=value,
             certified=bool(cert.passed),
             design=design,

@@ -17,6 +17,7 @@ from optdesign import (
     bayes_a_criterion,
     bayes_criterion,
     information_matrix,
+    local_design,
     log_det,
     make_logistic,
     quadrature,
@@ -61,6 +62,18 @@ class TestParameterPrior:
         assert ParameterPrior.uniform(1.0, 40.0).support_interval == (1.0, 40.0)
         assert ParameterPrior.trunc_exp(0.25).support_interval == (0.0, 4.0)
         assert ParameterPrior.discrete_uniform(6).support_interval == (1.0, 6.0)
+
+    def test_each_kind_owns_its_node_default(self):
+        # the constructor and the named builders agree: 200 nodes for a
+        # uniform prior, 400 for trunc_exp, 1 for the discrete and point ones
+        for kind, params, nodes, named in (
+                ("uniform", (1.0, 40.0), 200, ParameterPrior.uniform(1.0, 40.0)),
+                ("trunc_exp", (0.5,), 400, ParameterPrior.trunc_exp(0.5)),
+                ("discrete_uniform", (3,), 1, ParameterPrior.discrete_uniform(3)),
+                ("point_mass", (2.0,), 1, ParameterPrior.point_mass(2.0))):
+            prior = ParameterPrior(kind, params)
+            assert prior == named and prior.quadrature_nodes == nodes
+        assert ParameterPrior.trunc_exp(0.5, 120).quadrature_nodes == 120
 
 
 class TestQuadrature:
@@ -202,7 +215,7 @@ class TestSolveBayes:
         design, _ = solve_bayes(EXP1, prior)
         best = bayes_criterion(design, EXP1, prior)
         for beta in (1.0, 5.0, 20.0, 40.0):
-            rival = EXP1.analytic_local(beta)
+            rival = local_design(EXP1, beta)
             assert best >= bayes_criterion(rival, EXP1, prior) - 1e-12
 
     def test_two_parameter_discrete_prior(self):
@@ -324,7 +337,7 @@ class TestWeightSolve:
 
 class TestTraceCriterion:
     def test_local_design_scores_one(self):
-        d = EXP1.analytic_local(2.0)
+        d = local_design(EXP1, 2.0)
         got = bayes_a_criterion(d, EXP1, ParameterPrior.point_mass(2.0))
         np.testing.assert_allclose(got, 1.0, rtol=1e-10)
 

@@ -23,6 +23,7 @@ from optdesign import (
 )
 from optdesign.cli import build_parser, main
 from optdesign.io import (
+    _prior,
     design_from_json,
     design_to_json,
     read_artifact,
@@ -222,6 +223,13 @@ class TestBayesCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["criterion"]["prior"]["quadrature_nodes"] == 400
+
+    def test_artifact_prior_without_nodes_keeps_the_kind_default(self):
+        # a stored prior without quadrature_nodes is the builder's prior
+        stored = {"kind": "bayes",
+                  "prior": {"kind": "trunc_exp", "params": [0.5]}}
+        assert _prior(stored) == ParameterPrior.trunc_exp(0.5)
+        assert _prior(stored).quadrature_nodes == 400
 
 
 class TestTheoryCommand:

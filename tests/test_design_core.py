@@ -275,16 +275,29 @@ class TestScaleFunctions:
             calls.append(b)
             return scale(b)
 
-        counting = ScaleFunction(scale.kind, counted)
+        counting = ScaleFunction(counted)
         flo, fhi = scale(lo), scale(hi)
         for target in np.linspace(flo, fhi, 9)[[0, 1, 3, 4, 6, 8]]:
             calls.clear()
             assert counting.invert(target, lo, hi) == reference(target)
-            # a root at 0 bisects down through the subnormals to the cap;
-            # any other root is a few dozen doubles' halvings from the start
-            assert len(calls) <= 2 + 200
+            # a root at 0 bisects down through the subnormals to the cap,
+            # and ell at the capped answer is checked once; any other root
+            # is a few dozen doubles' halvings from the start
+            assert len(calls) <= 2 + 200 + 1
             if scale(lo) < target or lo > 0.0:
                 assert len(calls) < 2 + 100
+
+    def test_capped_bisection_that_misses_its_target_raises(self):
+        # without the exact inverse, 200 halvings of [1e-300, 1e300] stop
+        # near 3.1e239, far from the root at 1.6e-300
+        bare = ScaleFunction(np.log)
+        with pytest.raises(ArithmeticError, match="200 halvings"):
+            bare.invert(-690.3, 1e-300, 1e300)
+        with pytest.raises(ArithmeticError):
+            bare.invert(np.array([0.0, -690.3]), 1e-300, 1e300)
+        np.testing.assert_allclose(
+            logarithm().invert(-690.3, 1e-300, 1e300), math.exp(-690.3),
+            rtol=1e-12)
 
 
 class TestArrayScaleInversion:
@@ -341,8 +354,8 @@ class TestArrayScaleInversion:
                 return scale(b)
             return ell
 
-        narrow = ScaleFunction(scale.kind, counted("narrow"), scale._inverse)
-        full = ScaleFunction(scale.kind, counted("full"))
+        narrow = ScaleFunction(counted("narrow"), scale._inverse)
+        full = ScaleFunction(counted("full"))
         flo, fhi = scale(lo), scale(hi)
         targets = np.r_[np.linspace(flo, fhi, 501),
                         np.random.default_rng(2).uniform(flo, fhi, 500),

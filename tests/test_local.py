@@ -74,7 +74,7 @@ class TestSolveLocal:
     def test_two_parameter_matches_oracle(self, beta):
         design, cert = solve_local(EXP2, beta)
         assert cert.passed
-        oracle = EXP2.analytic_local(beta)
+        oracle = local_design(EXP2, beta)
         assert design.n == 2
         for p, q in zip(sorted(design.points), sorted(oracle.points)):
             assert abs(p - q) < 1e-6
@@ -102,7 +102,7 @@ class TestSolveLocal:
         # the grid solve puts weight on 0 itself, not on a far-tail point
         # whose score equals f(0) in double precision
         design, _ = solve_local(EXP2, beta)
-        oracle = EXP2.analytic_local(beta)
+        oracle = local_design(EXP2, beta)
         assert design.n == oracle.n
         np.testing.assert_allclose(design.points_array(),
                                    oracle.points_array(), rtol=0.0, atol=1e-6)
@@ -158,7 +158,7 @@ class TestSolveLocal:
         # the numeric solve must never fall below the analytic seed
         for model, beta in ((EXP1, 6.0), (EXP2, 2.5)):
             design, _ = solve_local(model, beta)
-            seed = model.analytic_local(beta)
+            seed = local_design(model, beta)
             assert (
                 log_det(information_matrix(design, model, beta))
                 >= log_det(information_matrix(seed, model, beta)) - 1e-10
@@ -177,7 +177,7 @@ class TestDirectionalDerivative:
         # against the local optimum: d(x) = (x beta)^2 e^(2 - 2 beta x),
         # maximized at x = 1/beta with value 1
         beta = 2.0
-        design = EXP1.analytic_local(beta)
+        design = local_design(EXP1, beta)
         xs = np.linspace(0.01, 1.0, 57)
         d = directional_derivative(design, EXP1, beta, xs)
         want = (xs * beta) ** 2 * np.exp(2.0 - 2.0 * beta * xs)

@@ -56,7 +56,7 @@ class TestBetaGrid:
 
 class TestMaximinCriterion:
     def test_local_design_on_singleton_grid_scores_one(self):
-        d = EXP1.analytic_local(2.0)
+        d = local_design(EXP1, 2.0)
         phi, beta_star = maximin_criterion(d, EXP1, BetaGrid(2.0, 2.0))
         np.testing.assert_allclose(phi, 1.0, rtol=1e-10)
         assert beta_star == 2.0
@@ -101,12 +101,25 @@ class TestSupportCount:
             (0.014, 0.064, 0.156, 0.287, 0.838),
             (0.336, 0.193, 0.093, 0.137, 0.241),
         )
-        assert support_count(five) == 5
-        assert support_count(DesignMeasure.point_mass(0.182)) == 1
+        assert support_count(five, EXP1) == 5
+        assert support_count(DesignMeasure.point_mass(0.182), EXP1) == 1
 
     def test_merges_near_duplicates(self):
         d = DesignMeasure((0.2, 0.2004, 0.8), (0.4, 0.4, 0.2))
-        assert support_count(d) == 2
+        assert support_count(d, EXP1) == 2
+
+    def test_merge_radius_follows_the_model_interval(self):
+        # 1e-3 of the logistic [0, 30] is 0.03, so 10 and 10.02 are one point
+        d = DesignMeasure((10.0, 10.02, 20.0), (0.4, 0.3, 0.3))
+        assert support_count(d, LOGISTIC) == 2
+
+    @pytest.mark.parametrize("model, beta, points", [
+        (EXP3, 2000.0, 3), (EXP2, 1e4, 2)], ids=["exp3", "exp2"])
+    def test_a_point_near_the_fixed_support_counts(self, model, beta, points):
+        # {0, 5e-4, 1} and {0, 1e-4}: the point next to 0 stays apart
+        design, cert = solve_local(model, beta)
+        assert cert.passed
+        assert support_count(design, model) == design.n == points
 
 
 class TestSolveMaximin:
@@ -123,7 +136,7 @@ class TestSolveMaximin:
     def test_narrow_range_two_points(self, maximin_results):
         design, cert, _ = maximin_results[10]
         assert cert.passed
-        assert support_count(design) == 2
+        assert support_count(design, EXP1) == 2
         pts = sorted(design.points)
         assert abs(pts[0] - 0.142) < 0.01 and abs(pts[1] - 0.771) < 0.01
 
@@ -140,7 +153,7 @@ class TestSolveMaximin:
         grid = BetaGrid(1.0, 40.0)
         design = maximin_results[40][0]
         best, _ = maximin_criterion(design, EXP1, grid)
-        rival = EXP1.analytic_local(2.0).mix(EXP1.analytic_local(20.0), 0.5)
+        rival = local_design(EXP1, 2.0).mix(local_design(EXP1, 20.0), 0.5)
         phi_rival, _ = maximin_criterion(rival, EXP1, grid)
         assert best >= phi_rival - 1e-12
 
@@ -199,7 +212,7 @@ class TestSolveMaximin:
         grid = BetaGrid(1.0, B, count)
         design, cert = solve_maximin(EXP2, grid)
         assert cert.passed
-        assert support_count(design) == points
+        assert support_count(design, EXP2) == points
         phi, _ = maximin_criterion(design, EXP2, grid)
         assert abs(phi - want) <= 1e-6
 
@@ -277,6 +290,6 @@ class TestEfficiencyConsistency:
     def test_local_design_efficiency_matches_closed_form(self):
         # the criterion evaluated on a local design for a single off-grid
         # parameter reduces to the pairwise efficiency function
-        d = EXP1.analytic_local(3.0)
+        d = local_design(EXP1, 3.0)
         phi, _ = maximin_criterion(d, EXP1, BetaGrid(6.0, 6.0))
         np.testing.assert_allclose(phi, q_efficiency(EXP1, 6.0, 3.0), rtol=1e-9)

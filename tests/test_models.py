@@ -22,6 +22,7 @@ from optdesign import (
     get_model,
     gram_determinant,
     h_function,
+    information_matrix,
     make_logistic,
     q_efficiency,
 )
@@ -111,7 +112,7 @@ class TestBroadcastScores:
         def check(draw):
             x, betas = (np.array(v, dtype=float) for v in draw)
             Fs = stacked_scores(model, x, betas)
-            ref = np.stack([model.score_matrix(x, float(b)) for b in betas])
+            ref = np.stack([model.score(x, float(b)) for b in betas])
             assert Fs.shape == (len(betas), len(x), model.m)
             assert np.array_equal(Fs, ref)
             assert np.all(np.isfinite(Fs))
@@ -134,15 +135,18 @@ class TestBroadcastScores:
                           design_interval=(0.0, 1.0),
                           beta_range=(1e-12, math.inf), score=score,
                           fixed_support=fixed)
-            # the scalar-beta path keeps working
-            assert model.score_matrix(x, 2.0).shape == (7, m)
             with pytest.raises(ValueError, match="broadcast x against beta"):
                 stacked_scores(model, x, [1.0, 2.0, 3.0])
+            # a scalar beta is a stack of one, checked the same way
+            xi = DesignMeasure(x, np.full(7, 1.0 / 7.0))
+            for value in (information_matrix, det_info):
+                with pytest.raises(ValueError, match="broadcast x against beta"):
+                    value(xi, model, 2.0)
 
     def test_logistic_score_finite_far_from_beta(self):
         model = make_logistic(2005.0)
         x = np.array([0.0, 1000.0, 2005.0])
-        F = model.score_matrix(x, 0.0)[:, 0]
+        F = model.score(x, 0.0)[:, 0]
         assert np.all(np.isfinite(F)) and F[0] == 0.5 and F[2] == 0.0
         # the |x - beta| form agrees with e^{z/2} / (1 + e^z) where that
         # form does not overflow
@@ -194,16 +198,16 @@ class TestScoreDerivative:
 
 class TestAnalyticLocalDesigns:
     def test_scalar_exponential_clips(self):
-        assert EXP1.analytic_local(4.0).points[0] == 0.25
-        assert EXP1.analytic_local(0.5).points[0] == 1.0
+        assert local_design(EXP1, 4.0).points[0] == 0.25
+        assert local_design(EXP1, 0.5).points[0] == 1.0
 
     def test_two_parameter_shares_origin(self):
-        d = EXP2.analytic_local(5.0)
+        d = local_design(EXP2, 5.0)
         assert d.points == (0.0, 0.2) and d.weights == (0.5, 0.5)
 
     def test_logistic_local_information(self):
         beta = 3.0
-        d = LOGISTIC.analytic_local(beta)
+        d = local_design(LOGISTIC, beta)
         M = det_info(d, LOGISTIC, beta)
         np.testing.assert_allclose(M, 0.25, rtol=1e-12)
 
