@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import DesignMeasure, NEG_INF, det_info
+from .design import DesignMeasure, NEG_INF, as_count, det_info
 from .local import (
     Criterion,
     band_seed,
@@ -58,20 +58,18 @@ class ParameterPrior:
                 raise ValueError("trunc_exp needs a in (0, 1)")
         elif self.kind == "discrete_uniform":
             (L,) = self.params
-            if not (math.isfinite(L) and L >= 1 and L == math.floor(L)):
-                raise ValueError("discrete_uniform needs integer L >= 1")
-            object.__setattr__(self, "params", (int(L),))
+            object.__setattr__(self, "params", (as_count(L, "discrete_uniform L", 1),))
         elif self.kind == "point_mass":
             (b,) = self.params
             if not math.isfinite(b):
                 raise ValueError("point mass must be finite")
         else:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.quadrature_nodes is None:
+        nodes = self.quadrature_nodes
+        if nodes is None:
             nodes = {"uniform": 200, "trunc_exp": 400}.get(self.kind, 1)
-            object.__setattr__(self, "quadrature_nodes", nodes)
-        if self.quadrature_nodes < 1:
-            raise ValueError("quadrature_nodes must be positive")
+        object.__setattr__(self, "quadrature_nodes",
+                           as_count(nodes, "quadrature_nodes", 1))
 
     @staticmethod
     def uniform(lo: float, hi: float, quadrature_nodes: Optional[int] = None):

@@ -23,6 +23,14 @@ NEG_INF = float("-inf")
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def as_count(value, name: str, least: int) -> int:
+    """value as an int: a finite whole number >= least, as JSON may store
+    400 as 400.0; ValueError for 2.5, nan, inf or a smaller one."""
+    if not (math.isfinite(value) and value == math.floor(value) and value >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 class DegenerateDesignError(ValueError):
     """Raised when a merge/floor operation leaves no support."""
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .design import (
     DesignMeasure,
@@ -44,14 +45,18 @@ _EXCHANGE_WEIGHT = 0.03  # refine: weight shared by the inserted audit points
 _EXCHANGE_NEAR = 1e-6  # refine: a peak this near the support is not inserted
 _GAME_STRIDE = 20  # matrix game: the first restricted game takes every 20th
 _GAME_TOL = 1e-12  # matrix game: generation tolerance, relative to max|dmat|
-# HiGHS on a restricted game divided by max|dmat|: at the default 1e-7
-# feasibility tolerances the last restricted game of the degenerate EXP1
-# grid at B = 150 ended with in-set duals 8e-8 off, and its mu 1.4e-8 above
-# the game value; presolve cannot shrink a small dense game, and took a
-# quarter of the game time of the maximin benchmark workloads
-_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+# HiGHS options of every game model, set in this order; a rejected name or
+# value raises ValueError when the model is built.  output_flag: no log.
+# Feasibility tolerances 1e-10, not the default 1e-7: on 13 maximin solves
+# (EXP1, EXP2 and logistic, B up to 5000) the defaults left 36 restricted
+# games whose two simplex answers both failed the _GAME_GAP check, three
+# failed certificates and one unsolved game.  presolve off: a restricted
+# game is small and dense, and on the same solves presolve added 29% to the
+# HiGHS time.
+_HIGHS_OPTIONS = {"output_flag": False,
+                  "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10,
-                  "presolve": False}
+                  "presolve": "off"}
 # largest restricted gap max(mu^T D) - min(D p) accepted, relative to
 # max|dmat|: HiGHS's internal scaling lets sound answers reach 3.3e-10
 _GAME_GAP = 1e-8
@@ -62,8 +67,9 @@ class SingularInformationError(ArithmeticError):
 
 
 class MatrixGameError(ArithmeticError):
-    """A restricted matrix game that neither HiGHS's default method nor its
-    interior-point retry solves to within _GAME_GAP."""
+    """A restricted matrix game that no rung of HiGHS's retry ladder (warm
+    simplex, simplex on a fresh model, interior point) solves to within
+    _GAME_GAP."""
 
 
 @dataclass(frozen=True)
@@ -350,38 +356,97 @@ class Criterion:
         return total
 
 
-def _restricted_game(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     scale: float):
-    """Solve the game on dmat[rows][:, cols]: min t s.t. mu^T dmat <= t,
-    passed to HiGHS divided by scale.  Returns (mu, p, t): the row mix mu
-    and the column mix p, the duals of the column constraints, both on the
-    restricted index sets, and the value t of the unscaled game.
+def _game_model(sub: np.ndarray) -> _Highs:
+    """A new HiGHS model of the divided game sub, options _HIGHS_OPTIONS.
+
+    LP column 0 is the value t (cost 1, free) and LP row 0 the sum of mu,
+    fixed at 1; :func:`_grow_game` then adds the game rows and columns."""
+    highs = _Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        if highs.setOptionValue(key, value) != HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects the option {key}={value!r}")
+    highs.addCols(1, [1.0], [-math.inf], [math.inf], 0, [], [], [])
+    highs.addRows(1, [1.0], [1.0], 0, [], [], [])
+    _grow_game(highs, sub, 0, 0)
+    return highs
+
+
+def _grow_game(highs: _Highs, sub: np.ndarray, r0: int, c0: int) -> None:
+    """Extend a game model of sub[:r0, :c0] to the whole of sub: each new
+    game row an LP column mu_r >= 0 (on the sum row and the old column
+    rows), then each new game column c an LP row mu^T sub_c - t <= 0.  The
+    LP keeps the basis of its last run, so the next run starts from it.
+    HiGHS drops entries below its small_matrix_value with a warning; an
+    error raises MatrixGameError."""
+    statuses = []
+    k = sub.shape[0] - r0
+    if k:
+        statuses.append(highs.addCols(k, np.zeros(k), np.zeros(k),
+                                      np.full(k, math.inf),
+                                      *_packed(sub[r0:, :c0], 1.0)))
+    k = sub.shape[1] - c0
+    if k:
+        statuses.append(highs.addRows(k, np.full(k, -math.inf), np.zeros(k),
+                                      *_packed(sub[:, c0:].T, -1.0)))
+    if HighsStatus.kError in statuses:
+        raise MatrixGameError("HiGHS rejected a restricted game's entries")
+
+
+def _packed(block: np.ndarray, lead: float) -> tuple:
+    """The rows of block, each led by the entry lead, in HiGHS's packed
+    form: (entry count, starts, indices, values)."""
+    k, n = block.shape
+    vals = np.hstack([np.full((k, 1), lead), block]).ravel()
+    return (len(vals), np.arange(0, len(vals), n + 1, dtype=np.int32),
+            np.tile(np.arange(n + 1, dtype=np.int32), k), vals)
+
+
+def _run_game(highs: _Highs, solver: str) -> tuple:
+    """Run a game model with HiGHS's "simplex" or "ipm": (model status,
+    primal values, row duals), the values None unless it is optimal.  Every
+    solve of a restricted game goes through here."""
+    if highs.setOptionValue("solver", solver) != HighsStatus.kOk:
+        raise ValueError(f"HiGHS rejects the solver {solver!r}")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        return status, None, None
+    sol = highs.getSolution()
+    return status, np.array(sol.col_value), np.array(sol.row_dual)
+
+
+def _play(highs: _Highs, sub: np.ndarray) -> tuple:
+    """Solve the game model highs of the divided game sub: min t s.t.
+    mu^T sub <= t, mu a probability vector.  Returns (mu, p, t, model): the
+    row mix mu, the column mix p (minus the duals of the column rows), the
+    value t of sub, and the model that gave them, which the next round
+    grows.
 
     An answer counts only if numpy confirms it: mu and p, clipped to
     probability vectors, bound the value from both sides, and their gap
-    max(mu^T D) - min(D p), D the divided game, must be at most _GAME_GAP.
-    A HiGHS failure or a failed check is retried once with ``highs-ipm``,
-    then MatrixGameError."""
-    sub = dmat[np.ix_(rows, cols)] / scale
-    A, n = sub.shape
-    c = np.zeros(A + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([sub.T, -np.ones((n, 1))])
-    A_eq = np.zeros((1, A + 1))
-    A_eq[0, :A] = 1.0
-    bounds = [(0.0, None)] * A + [(None, None)]
-    for method in ("highs", "highs-ipm"):
-        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-                      bounds=bounds, method=method, options=_HIGHS_OPTIONS)
-        if res.success:
-            mu, p = res.x[:A], -res.ineqlin.marginals
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mu_c, p_c = np.clip(mu, 0.0, None), np.clip(p, 0.0, None)
-                mu_c, p_c = mu_c / mu_c.sum(), p_c / p_c.sum()
-                if (mu_c @ sub).max() - (sub @ p_c).min() <= _GAME_GAP:
-                    return mu, p, float(res.x[-1]) * scale
-    reason = "no gap check passed" if res.success else res.message
-    raise MatrixGameError(f"{A} x {n} restricted matrix game unsolved: {reason}")
+    max(mu^T sub) - min(sub p) must be at most _GAME_GAP.  The ladder is a
+    warm simplex run on highs, then simplex on a fresh model of sub (a warm
+    run after added rows can end in a HiGHS solve error that a fresh model
+    of the same game does not), then an interior-point run on that fresh
+    model, then MatrixGameError."""
+    for rung in ("warm", "simplex", "ipm"):
+        if rung == "simplex":
+            highs = _game_model(sub)
+        elif rung == "ipm":
+            highs.clearSolver()
+        status, x, y = _run_game(highs, "ipm" if rung == "ipm" else "simplex")
+        if x is None:
+            continue
+        mu, p = x[1:], -y[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_c, p_c = np.clip(mu, 0.0, None), np.clip(p, 0.0, None)
+            mu_c, p_c = mu_c / mu_c.sum(), p_c / p_c.sum()
+            if (mu_c @ sub).max() - (sub @ p_c).min() <= _GAME_GAP:
+                return mu, p, float(x[0]), highs
+    reason = ("no gap check passed" if x is not None
+              else highs.modelStatusToString(status))
+    raise MatrixGameError(f"{sub.shape[0]} x {sub.shape[1]} restricted matrix "
+                          f"game unsolved: {reason}")
 
 
 def _least_favorable_lp(dmat: np.ndarray, cols=()):
@@ -392,26 +457,30 @@ def _least_favorable_lp(dmat: np.ndarray, cols=()):
     audit points; the scalar maximin grid solve also uses it.
 
     The optimal strategies live on a few rows and columns, so the game is
-    solved by row and column generation.  The restricted game starts on
-    every _GAME_STRIDE-th row and column plus the last, on every row when
-    there are at most _GAME_STRIDE of them (the stride would take two),
-    and on the caller's extra columns cols: the Wong audit passes the
-    design's support, where a passing design's derivative sits at m.  Each
-    round adds every column c with (mu^T dmat)_c > t + tol and every row r
-    with (dmat p)_r < t - tol, where t is the restricted value and p the
-    restricted column mix.  Sets only grow, and at worst the loop ends on
-    the full game, so it needs no round cap.  It stops when neither set
-    grows.  The restricted LP bounds the in-set columns and rows, and the
-    generation test the others, so then max(mu^T dmat) <= t + tol and
-    min(dmat p) >= t - tol: mu and p are a primal-dual pair of the full
-    game within a gap of 2 tol + _GAME_GAP * max|dmat|, with tol =
-    _GAME_TOL * max|dmat| (:func:`_restricted_game` checks the second term).
+    solved by row and column generation on one HiGHS model.  The restricted
+    game starts on every _GAME_STRIDE-th row and column plus the last, on
+    every row when there are at most _GAME_STRIDE of them (the stride would
+    take two), and on the caller's extra columns cols: the Wong audit
+    passes the design's support, where a passing design's derivative sits
+    at m.  Each round adds every column c with (mu^T dmat)_c > t + tol and
+    every row r with (dmat p)_r < t - tol, where t is the restricted value
+    and p the restricted column mix: the new rows become LP columns and the
+    new columns LP rows of the same model (:func:`_grow_game`), and simplex
+    restarts from the last basis (:func:`_play` holds the retry ladder).
+    Sets only grow, and at worst the loop ends on the full game, so it
+    needs no round cap.  It stops when neither set grows.  The restricted
+    LP bounds the in-set columns and rows, and the generation test the
+    others, so then max(mu^T dmat) <= t + tol and min(dmat p) >= t - tol:
+    mu and p are a primal-dual pair of the full game within a gap of
+    2 tol + _GAME_GAP * max|dmat|, with tol = _GAME_TOL * max|dmat|.
     HiGHS gets each restricted game divided by max|dmat|, which has the
     same strategies: unscaled, it ended the Wong audit of an EXP2 design on
-    [1, 150] in status 15.  A non-finite entry raises ArithmeticError
-    before any LP (a NaN compares False and would never enter a set), and
-    so does an all-zero payoff; a one-row game is then mu = [1] without an
-    LP.  MatrixGameError if a restricted game stays unsolved.
+    [1, 150] in status 15.  Only the restricted slices are divided, and
+    the generation tests multiply dmat by the zero-padded mixes, so no
+    round copies or divides the whole payoff.  A non-finite entry raises ArithmeticError before any
+    LP (a NaN compares False and would never enter a set), and so does an
+    all-zero payoff; a one-row game is then mu = [1] without a model.
+    MatrixGameError if a restricted game stays unsolved.
     """
     if not np.all(np.isfinite(dmat)):
         raise ArithmeticError("matrix game has a non-finite payoff")
@@ -428,19 +497,24 @@ def _least_favorable_lp(dmat: np.ndarray, cols=()):
     in_cols[::_GAME_STRIDE] = True
     in_rows[-1] = in_cols[-1] = True
     in_cols[np.asarray(cols, dtype=int)] = True
+    rows, game_cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
+    highs, r0, c0 = _game_model(np.zeros((0, 0))), 0, 0
+    mu, p = np.zeros(A), np.zeros(n)
     while True:
-        rows, cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
-        mu_r, p_c, t = _restricted_game(dmat, rows, cols, scale)
-        new_cols = ~in_cols & (mu_r @ dmat[rows] > t + tol)
-        new_rows = ~in_rows & (dmat[:, cols] @ p_c < t - tol)
-        if not (new_cols.any() or new_rows.any()):
+        sub = dmat[np.ix_(rows, game_cols)]
+        sub /= scale
+        _grow_game(highs, sub, r0, c0)
+        r0, c0 = sub.shape
+        mu[rows], p[game_cols], t, highs = _play(highs, sub)
+        t *= scale
+        new_cols = np.flatnonzero(~in_cols & (mu @ dmat > t + tol))
+        new_rows = np.flatnonzero(~in_rows & (dmat @ p < t - tol))
+        if not (len(new_cols) or len(new_rows)):
             break
-        in_cols |= new_cols
-        in_rows |= new_rows
-    mu = np.zeros(A)
-    mu[rows] = np.clip(mu_r, 0.0, None)
+        in_cols[new_cols] = in_rows[new_rows] = True
+        rows, game_cols = np.r_[rows, new_rows], np.r_[game_cols, new_cols]
+    mu = np.clip(mu, 0.0, None)
     return mu / mu.sum()
-
 
 def certify(model: Model, design: DesignMeasure,
             criterion: Criterion) -> EquivalenceCertificate:

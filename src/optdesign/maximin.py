@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMeasure, default_merge
+from .design import DesignMeasure, as_count, default_merge
 from .local import (
     Criterion,
     _least_favorable_lp,
@@ -36,8 +36,8 @@ class BetaGrid:
     def __post_init__(self):
         if not 0.0 < self.beta_min <= self.beta_max < math.inf:
             raise ValueError("need 0 < beta_min <= beta_max < inf")
-        if self.beta_min < self.beta_max and self.count < 2:
-            raise ValueError("need at least 2 grid values")
+        least = 2 if self.beta_min < self.beta_max else 1
+        object.__setattr__(self, "count", as_count(self.count, "count", least))
 
     @property
     def values(self) -> np.ndarray:

@@ -51,6 +51,18 @@ class TestParameterPrior:
         assert prior.params == (3,) and type(prior.params[0]) is int
         np.testing.assert_array_equal(quadrature(prior)[0], [1.0, 2.0, 3.0])
 
+    # a float count reached np.polynomial.legendre.leggauss, a TypeError
+    @pytest.mark.parametrize("nodes", [200.5, 0, -3.0, math.inf, math.nan])
+    def test_quadrature_nodes_must_be_a_whole_number(self, nodes):
+        with pytest.raises(ValueError, match="quadrature_nodes"):
+            ParameterPrior("uniform", (1.0, 50.0), nodes)
+
+    def test_whole_quadrature_nodes_are_stored_as_an_int(self):
+        prior = ParameterPrior("uniform", (1.0, 50.0), 200.0)
+        assert prior == ParameterPrior.uniform(1.0, 50.0)
+        assert type(prior.quadrature_nodes) is int
+        assert len(quadrature(prior)[0]) == 200
+
     @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0),
                                         (math.nan, 1.0), (1.0, math.nan)])
     def test_uniform_bounds_must_be_finite(self, lo, hi):

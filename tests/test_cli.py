@@ -186,6 +186,31 @@ class TestArtifactFailsClosed:
         with pytest.raises(ValueError, match="spacing"):
             verify_artifact(path)
 
+    @pytest.mark.parametrize("key, count", [("count", 40),
+                                            ("quadrature_nodes", 200)])
+    def test_whole_float_counts_are_read(self, tmp_path, key, count):
+        # JSON may carry 40 as 40.0: the audit runs as with the int
+        def criterion(n):
+            if key == "count":
+                return {"kind": "maximin", "beta_min": 1.0, "beta_max": 10.0,
+                        "count": n}
+            return {"kind": "bayes", "prior": {
+                "kind": "uniform", "params": [1.0, 10.0], "quadrature_nodes": n}}
+
+        as_float = verify_artifact(
+            self._artifact(tmp_path, criterion(float(count))))
+        assert as_float == verify_artifact(self._artifact(tmp_path, criterion(count)))
+
+    @pytest.mark.parametrize("criterion", [
+        {"kind": "maximin", "beta_min": 1.0, "beta_max": 10.0, "count": 40.5},
+        {"kind": "bayes", "prior": {"kind": "uniform", "params": [1.0, 10.0],
+                                    "quadrature_nodes": 200.5}}],
+        ids=["count", "quadrature_nodes"])
+    def test_fractional_counts_are_rejected(self, tmp_path, criterion):
+        path = self._artifact(tmp_path, criterion)
+        with pytest.raises(ValueError, match="whole number"):
+            verify_artifact(path)
+
     def test_foreign_design_interval_is_rejected(self, tmp_path):
         # exp1 lives on [0, 1]: an artifact stored on [0, 0.5] cannot be
         # re-audited as it was solved

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, linprog, minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import optdesign.io
 import optdesign.local
@@ -35,6 +36,7 @@ from optdesign.local import (
     MatrixGameError,
     SingularInformationError,
     _least_favorable_lp,
+    _run_game,
     audit_grid,
     band_mixture,
     band_seed,
@@ -47,7 +49,7 @@ from optdesign.local import (
     refine,
     stacked_scores,
 )
-from optdesign.models import h_function
+from optdesign.models import h_function, make_logistic
 from optdesign.scales import logarithm
 from optdesign.theory import construct_lower_bound_design
 
@@ -465,10 +467,10 @@ class TestLeastFavorableLP:
         assert cert.least_favorable_weights
 
     def test_one_row_game_needs_no_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("a one-row game called linprog")
+        def no_model():
+            raise AssertionError("a one-row game built a HiGHS model")
 
-        monkeypatch.setattr(optdesign.local, "linprog", no_lp)
+        monkeypatch.setattr(optdesign.local, "_Highs", no_model)
         mu = _least_favorable_lp(np.array([[0.5, -2.0, 3.0]]))
         assert mu.tolist() == [1.0]
         # the payoff checks still come first
@@ -518,64 +520,116 @@ class TestLeastFavorableLP:
                                        atol=1e-7 * np.abs(dmat).max())
 
 
-def _failed_lp(*args, **kwargs):
-    return OptimizeResult(success=False, status=4, x=None,
-                          message="forced numerical failure")
+def _failed_run(highs, solver):
+    return HighsModelStatus.kSolveError, None, None
+
+
+def _recording(calls, fail=()):
+    """A _run_game that records (model, solver) and fails the calls whose
+    index is in fail."""
+    def run(highs, solver):
+        calls.append((highs, solver))
+        if len(calls) - 1 in fail:
+            return _failed_run(highs, solver)
+        return _run_game(highs, solver)
+    return run
 
 
 class TestMatrixGameFailsClosed:
-    """A restricted game that HiGHS cannot solve is retried once with
-    highs-ipm; if that fails too, MatrixGameError, which the certificate
-    turns into a failed audit."""
+    """Every restricted game is solved through local._run_game: a warm
+    simplex run on the game's one model, then simplex on a fresh model of
+    the same restricted game, then interior point on that fresh model; if
+    all three fail, MatrixGameError, which the certificate turns into a
+    failed audit."""
 
-    def test_failed_default_method_is_retried_with_ipm(self, monkeypatch):
-        methods = []
-
-        def first_fails(*args, **kwargs):
-            methods.append(kwargs["method"])
-            if kwargs["method"] == "highs":
-                return _failed_lp()
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(optdesign.local, "linprog", first_fails)
+    def test_ladder_is_warm_simplex_then_fresh_simplex_then_fresh_ipm(
+            self, monkeypatch):
         dmat = _off_stride_game()
-        mu = _least_favorable_lp(dmat)
-        assert methods[:2] == ["highs", "highs-ipm"]
-        assert np.flatnonzero(mu).tolist() == [7, 33]
-        np.testing.assert_allclose((mu @ dmat).max(), 0.75, rtol=0.0, atol=1e-9)
+        for first in (0, 1):  # the failures in round 1, then in round 2
+            calls = []
+            monkeypatch.setattr(optdesign.local, "_run_game",
+                                _recording(calls, fail=(first, first + 1)))
+            mu = _least_favorable_lp(dmat)
+            (warm, s0), (fresh, s1), (again, s2) = calls[first:first + 3]
+            assert [s0, s1, s2] == ["simplex", "simplex", "ipm"]
+            assert fresh is not warm and again is fresh
+            # the rounds before grew the first model; the rounds after grow
+            # the fresh one, with warm simplex runs
+            assert all(h is warm and s == "simplex" for h, s in calls[:first])
+            assert all(h is fresh and s == "simplex" for h, s in calls[first + 3:])
+            assert len(calls) - 2 >= 2  # two rounds or more, two failed runs
+            assert np.flatnonzero(mu).tolist() == [7, 33]
+            np.testing.assert_allclose((mu @ dmat).max(), 0.75, rtol=0.0,
+                                       atol=1e-9)
 
-    def test_unconfirmed_answer_is_retried_with_ipm(self, monkeypatch):
-        # HiGHS reports success with a row mix that is no equilibrium: the
-        # numpy check of its gap rejects it
-        methods = []
+    def test_unconfirmed_answer_is_retried_on_a_fresh_model(self, monkeypatch):
+        # HiGHS reports an optimum with a row mix that is no equilibrium:
+        # the numpy check of its gap rejects it
+        calls = []
 
-        def wrong_answer(*args, **kwargs):
-            methods.append(kwargs["method"])
-            res = linprog(*args, **kwargs)
-            if kwargs["method"] == "highs":
-                res.x[:-1] = np.eye(len(res.x) - 1)[0]
-            return res
+        def wrong_answer(highs, solver):
+            calls.append((highs, solver))
+            status, x, y = _run_game(highs, solver)
+            if len(calls) == 1:
+                x[1:] = np.eye(len(x) - 1)[0]
+            return status, x, y
 
-        monkeypatch.setattr(optdesign.local, "linprog", wrong_answer)
+        monkeypatch.setattr(optdesign.local, "_run_game", wrong_answer)
         dmat = _random_games()[4]
         mu = _least_favorable_lp(dmat)
-        assert "highs-ipm" in methods
+        assert calls[1][0] is not calls[0][0] and calls[1][1] == "simplex"
         np.testing.assert_allclose((mu @ dmat).max(), _dense_game_value(dmat),
                                    rtol=0.0, atol=1e-7 * np.abs(dmat).max())
 
     def test_unsolved_game_raises_matrix_game_error(self, monkeypatch):
-        monkeypatch.setattr(optdesign.local, "linprog", _failed_lp)
+        calls = []
+        monkeypatch.setattr(optdesign.local, "_run_game",
+                            _recording(calls, fail=range(3)))
         assert issubclass(MatrixGameError, ArithmeticError)
         assert not issubclass(MatrixGameError, RuntimeError)
-        with pytest.raises(MatrixGameError, match="forced numerical failure"):
+        with pytest.raises(MatrixGameError, match="Solve error"):
             _least_favorable_lp(_off_stride_game())
+        assert [s for _, s in calls] == ["simplex", "simplex", "ipm"]
+
+    @pytest.mark.parametrize("dmat", [_off_stride_game(), _random_games()[5]],
+                             ids=["off-stride", "120x70"])
+    def test_one_game_builds_one_model(self, monkeypatch, dmat):
+        built, calls, real = [], [], optdesign.local._Highs
+
+        def counted():
+            built.append(real())
+            return built[-1]
+
+        monkeypatch.setattr(optdesign.local, "_Highs", counted)
+        monkeypatch.setattr(optdesign.local, "_run_game", _recording(calls))
+        _least_favorable_lp(dmat)
+        assert len(calls) > 1  # more than one round, no failed rung
+        assert len(built) == 1 and all(h is built[0] for h, _ in calls)
+
+    def test_options_fail_closed(self, monkeypatch):
+        options = optdesign.local._HIGHS_OPTIONS
+        for bad in ({"primal_feasibility_tolernce": 1e-10},
+                    {"dual_feasibility_tolerance": -1.0},
+                    {"presolve": False}):  # a string option in HiGHS
+            monkeypatch.setattr(optdesign.local, "_HIGHS_OPTIONS",
+                                {**options, **bad})
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                _least_favorable_lp(_off_stride_game())
+
+    def test_logistic_game_after_a_failed_warm_run_certifies(self):
+        # a warm run of one of its Wong games ended in a HiGHS solve error
+        # that a fresh model of the same game does not hit; with an ipm
+        # retry on the same model alone, the solve failed closed (inf)
+        model = make_logistic(30.0)
+        _, cert = solve_maximin(model, BetaGrid(1.0, 25.0))
+        assert cert.passed
 
     def test_certificate_fails_closed(self, maximin_results, monkeypatch,
                                       tmp_path):
         design = maximin_results[50][0]
         crit = Criterion.maximin(EXP1, BetaGrid(1.0, 50.0).values)
         assert certify(EXP1, design, crit).passed
-        monkeypatch.setattr(optdesign.local, "linprog", _failed_lp)
+        monkeypatch.setattr(optdesign.local, "_run_game", _failed_run)
         failed = certify(EXP1, design, crit)
         assert not failed.passed
         assert failed.max_directional_derivative == math.inf
@@ -594,7 +648,7 @@ class TestMatrixGameFailsClosed:
     def test_solve_maximin_returns_a_failed_certificate(self, monkeypatch):
         # m > 1 seeds from the band mixture, so only the audit plays a game;
         # every refine round fails and the solve returns its best one
-        monkeypatch.setattr(optdesign.local, "linprog", _failed_lp)
+        monkeypatch.setattr(optdesign.local, "_run_game", _failed_run)
         design, cert = solve_maximin(EXP2, BetaGrid(1.0, 4.0, 20))
         assert not cert.passed and design.n >= 2
         # the m = 1 seed is the grid game itself

@@ -45,6 +45,17 @@ class TestBetaGrid:
             with pytest.raises(ValueError):
                 BetaGrid(lo, hi)
 
+    # a float count reached np.geomspace, a TypeError
+    @pytest.mark.parametrize("count", [2.5, 400.5, math.inf, math.nan])
+    def test_count_must_be_a_whole_number(self, count):
+        with pytest.raises(ValueError, match="count"):
+            BetaGrid(1.0, 50.0, count)
+
+    def test_whole_count_is_stored_as_an_int(self):
+        grid = BetaGrid(1.0, 50.0, 400.0)
+        assert grid == BetaGrid(1.0, 50.0) and type(grid.count) is int
+        assert len(grid.values) == 400
+
     def test_singleton_grid(self):
         g = BetaGrid(3.0, 3.0)
         np.testing.assert_allclose(g.values, [3.0])
