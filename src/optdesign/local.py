@@ -5,10 +5,15 @@ the polish-certify-exchange loop audited by :func:`certify` on a fixed
 8,001-point grid, with the band mixture of local designs (:func:`band_seed`),
 or without local designs with 21 evenly spaced points plus the fixed
 support, or for m = 1 maximin with linear-program weights on a fixed
-2,001-point x-grid (:func:`build_grid`).  Weights for the q-weighted mean
-of log-determinants come from :func:`maximize_weighted_logdet`, a damped
-Newton solve on a few candidates.  A local design is the Bayes design of a
-point-mass prior: :func:`solve_local` runs that solve.
+2,001-point x-grid (:func:`build_grid`).  Both linear programs, the Wong
+audit's and the m = 1 seed's, are matrix games that
+:func:`_least_favorable_lp` solves by row and column generation; it reads
+the payoff through a block oracle, block(rows, cols), and evaluates only
+the in-set rows and columns, so the seed scores a fraction of its grid.
+Weights for the q-weighted mean of log-determinants come from
+:func:`maximize_weighted_logdet`, a damped Newton solve on a few
+candidates.  A local design is the Bayes design of a point-mass prior:
+:func:`solve_local` runs that solve.
 """
 
 from __future__ import annotations
@@ -221,14 +226,16 @@ def band_seed(model: Model, beta_min: float, beta_max: float) -> tuple:
 
 def audit_grid(interval, design: DesignMeasure) -> np.ndarray:
     """Dense grid for certification: a uniform cover of _AUDIT_POINTS points
-    plus support neighborhoods."""
+    plus support neighborhoods, clipped to the interval, and the support
+    points themselves, unclipped: check_points accepts a point up to 1e-12
+    outside the interval, and the audit reads its support check there."""
     lo, hi = interval
-    pieces = [np.linspace(lo, hi, _AUDIT_POINTS), design.points_array()]
+    pieces = [np.linspace(lo, hi, _AUDIT_POINTS)]
     for p in design.points:
         r = 1e-4 * (hi - lo)
         pieces.append(np.linspace(p - r, p + r, 41))
     x = np.concatenate(pieces)
-    return np.unique(x[(x >= lo) & (x <= hi)])
+    return np.unique(np.r_[x[(x >= lo) & (x <= hi)], design.points_array()])
 
 
 def directional_derivative(
@@ -449,12 +456,45 @@ def _play(highs: _Highs, sub: np.ndarray) -> tuple:
                           f"game unsolved: {reason}")
 
 
-def _least_favorable_lp(dmat: np.ndarray, cols=()):
-    """Probability vector mu over the rows of dmat minimizing the largest
-    entry of mu^T dmat: a matrix game solved as a linear program.
+def _dense_blocks(dmat: np.ndarray):
+    """The block oracle of a dense payoff (:func:`_least_favorable_lp`),
+    after the whole-matrix checks: a non-finite entry raises
+    ArithmeticError, and so does an all-zero payoff.  The block of every
+    row and column is dmat itself, so while every row of a Wong game is in
+    play its column test copies nothing."""
+    if not np.all(np.isfinite(dmat)):
+        raise ArithmeticError("matrix game has a non-finite payoff")
+    if not dmat.any():
+        raise ArithmeticError("matrix game has an all-zero payoff")
 
-    In the Wong audit the rows are the active betas and the columns the
-    audit points; the scalar maximin grid solve also uses it.
+    def block(rows, cols):
+        return dmat[rows][:, cols]
+
+    block.shape = dmat.shape
+    return block
+
+
+def _read_block(block, rows, cols) -> tuple:
+    """(payoff block, its max |entry|); ArithmeticError for a non-finite
+    entry, which np.max or np.min carries through.  Every block the game
+    evaluates is read here before it enters an LP or a generation test (a
+    NaN compares False and would never enter a set)."""
+    b = block(rows, cols)
+    hi, lo = float(b.max()), float(b.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ArithmeticError("matrix game has a non-finite payoff")
+    return b, max(hi, -lo)
+
+
+def _least_favorable_lp(payoff, cols=()):
+    """Probability vector mu over the rows of the payoff D minimizing the
+    largest entry of mu^T D: a matrix game solved as a linear program.
+
+    payoff is D itself, read through :func:`_dense_blocks` (the Wong audit:
+    rows the active betas, columns the audit points), or a block oracle (the
+    scalar maximin grid solve): a callable block(rows, cols) with a shape
+    attribute (A, n) that returns D[rows][:, cols], rows and cols index
+    arrays or slice(None) for all.
 
     The optimal strategies live on a few rows and columns, so the game is
     solved by row and column generation on one HiGHS model.  The restricted
@@ -462,35 +502,30 @@ def _least_favorable_lp(dmat: np.ndarray, cols=()):
     every row when there are at most _GAME_STRIDE of them (the stride would
     take two), and on the caller's extra columns cols: the Wong audit
     passes the design's support, where a passing design's derivative sits
-    at m.  Each round adds every column c with (mu^T dmat)_c > t + tol and
-    every row r with (dmat p)_r < t - tol, where t is the restricted value
+    at m.  Each round adds every column c with (mu^T D)_c > t + tol and
+    every row r with (D p)_r < t - tol, where t is the restricted value
     and p the restricted column mix: the new rows become LP columns and the
     new columns LP rows of the same model (:func:`_grow_game`), and simplex
     restarts from the last basis (:func:`_play` holds the retry ladder).
-    Sets only grow, and at worst the loop ends on the full game, so it
-    needs no round cap.  It stops when neither set grows.  The restricted
-    LP bounds the in-set columns and rows, and the generation test the
-    others, so then max(mu^T dmat) <= t + tol and min(dmat p) >= t - tol:
-    mu and p are a primal-dual pair of the full game within a gap of
-    2 tol + _GAME_GAP * max|dmat|, with tol = _GAME_TOL * max|dmat|.
-    HiGHS gets each restricted game divided by max|dmat|, which has the
-    same strategies: unscaled, it ended the Wong audit of an EXP2 design on
-    [1, 150] in status 15.  Only the restricted slices are divided, and
-    the generation tests multiply dmat by the zero-padded mixes, so no
-    round copies or divides the whole payoff.  A non-finite entry raises ArithmeticError before any
-    LP (a NaN compares False and would never enter a set), and so does an
-    all-zero payoff; a one-row game is then mu = [1] without a model.
+    mu lives on the in-set rows and p on the in-set columns, so the tests
+    read only two cross blocks, D[rows, :] and D[:, cols], which grow by
+    the new rows and columns alone; no other entry is evaluated, and none
+    can move mu or p.  Sets only grow, and at worst the loop ends on the
+    full game, so it needs no round cap.  It stops when neither set grows.
+    The restricted LP bounds the in-set columns and rows, and the
+    generation test the others, so then max(mu^T D) <= t + tol and
+    min(D p) >= t - tol: mu and p are a primal-dual pair of the full game
+    within a gap of 2 tol + _GAME_GAP * scale, tol = _GAME_TOL * scale.
+    The scale is max|D| on the first two cross blocks, all of D for a game
+    of at most _GAME_STRIDE rows; HiGHS gets each restricted game divided
+    by it, which has the same strategies: unscaled, it ended the Wong audit
+    of an EXP2 design on [1, 150] in status 15.  Every evaluated block is
+    checked by :func:`_read_block`, and a zero scale raises ArithmeticError,
+    before any LP; a one-row game is then mu = [1] without a model.
     MatrixGameError if a restricted game stays unsolved.
     """
-    if not np.all(np.isfinite(dmat)):
-        raise ArithmeticError("matrix game has a non-finite payoff")
-    scale = max(float(dmat.max()), -float(dmat.min()))  # max|dmat|
-    if scale == 0.0:
-        raise ArithmeticError("matrix game has an all-zero payoff")
-    A, n = dmat.shape
-    if A == 1:
-        return np.ones(1)
-    tol = _GAME_TOL * scale
+    block = _dense_blocks(payoff) if isinstance(payoff, np.ndarray) else payoff
+    A, n = block.shape
     in_rows = np.zeros(A, dtype=bool)
     in_cols = np.zeros(n, dtype=bool)
     in_rows[::_GAME_STRIDE if A > _GAME_STRIDE else 1] = True
@@ -498,23 +533,38 @@ def _least_favorable_lp(dmat: np.ndarray, cols=()):
     in_rows[-1] = in_cols[-1] = True
     in_cols[np.asarray(cols, dtype=int)] = True
     rows, game_cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
+    every = slice(None)
+    Drows, s_rows = _read_block(block, rows if len(rows) < A else every, every)
+    Dcols, s_cols = _read_block(block, every, game_cols)
+    scale = max(s_rows, s_cols)
+    if scale == 0.0:
+        raise ArithmeticError("matrix game has an all-zero payoff on its "
+                              "starting rows and columns")
+    if A == 1:
+        return np.ones(1)
+    tol = _GAME_TOL * scale
     highs, r0, c0 = _game_model(np.zeros((0, 0))), 0, 0
     mu, p = np.zeros(A), np.zeros(n)
     while True:
-        sub = dmat[np.ix_(rows, game_cols)]
+        sub = Dcols[rows]
         sub /= scale
         _grow_game(highs, sub, r0, c0)
         r0, c0 = sub.shape
         mu[rows], p[game_cols], t, highs = _play(highs, sub)
         t *= scale
-        new_cols = np.flatnonzero(~in_cols & (mu @ dmat > t + tol))
-        new_rows = np.flatnonzero(~in_rows & (dmat @ p < t - tol))
+        new_cols = np.flatnonzero(~in_cols & (mu[rows] @ Drows > t + tol))
+        new_rows = np.flatnonzero(~in_rows & (Dcols @ p[game_cols] < t - tol))
         if not (len(new_cols) or len(new_rows)):
             break
+        if len(new_rows):
+            Drows = np.vstack([Drows, _read_block(block, new_rows, every)[0]])
+        if len(new_cols):
+            Dcols = np.hstack([Dcols, _read_block(block, every, new_cols)[0]])
         in_cols[new_cols] = in_rows[new_rows] = True
         rows, game_cols = np.r_[rows, new_rows], np.r_[game_cols, new_cols]
     mu = np.clip(mu, 0.0, None)
     return mu / mu.sum()
+
 
 def certify(model: Model, design: DesignMeasure,
             criterion: Criterion) -> EquivalenceCertificate:

@@ -2,9 +2,12 @@
 
 The criterion is the worst efficiency det M(xi, b)/det M(xi[b], b) over the
 grid.  For m = 1 the seed is the exact solution of a linear program on a
-fixed 2,001-point x-grid; for m > 1 it is the mixture of local designs
-between the grid's ends.  Both end in :func:`local.refine`, whose polish
-takes the minimum in epigraph form.
+fixed 2,001-point x-grid, a matrix game whose payoff is read through a
+block oracle, so only the x-grid rows and beta columns that its row and
+column generation visits are scored; for m > 1, and for an m = 1 game
+that stays unsolved, it is the mixture of local designs between the
+grid's ends.  Both end in :func:`local.refine`, whose polish takes the
+minimum in epigraph form.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .design import DesignMeasure, as_count, default_merge
 from .local import (
     Criterion,
+    MatrixGameError,
     _least_favorable_lp,
     band_seed,
     build_grid,
@@ -61,26 +65,42 @@ def support_count(design: DesignMeasure, model: Model) -> int:
     return default_merge(design, model).n
 
 
-def _grid_maximin_lp(Fs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _grid_maximin_lp(model: Model, x: np.ndarray, betas: np.ndarray,
+                     offsets: np.ndarray) -> np.ndarray:
     """Exact grid solution for scalar information (m = 1): each efficiency
-    is linear in the weights, so maximizing min_j sum_i w_i a_ij is the
-    matrix game of _least_favorable_lp with the signs flipped."""
-    a = Fs[:, :, 0] ** 2 * np.exp(-offsets)[:, None]  # (J, n) efficiencies
-    return _least_favorable_lp(-a.T)
+    sum_i w_i f(x_i, b_j)^2 / exp(offset_j) is linear in the weights w, so
+    maximizing its minimum over the betas is the matrix game of
+    _least_favorable_lp with the signs flipped, rows x and columns betas.
+    The game reads that payoff through a block oracle, one stacked_scores
+    call per block, so it scores only the rows and columns that its
+    generation visits."""
+    inv = np.exp(-offsets)
+
+    def block(rows, cols):
+        F = stacked_scores(model, x[rows], betas[cols])[:, :, 0]
+        return -(F ** 2 * inv[cols, None]).T
+
+    block.shape = (len(x), len(betas))
+    return _least_favorable_lp(block)
 
 
 def solve_maximin(model: Model, grid: BetaGrid):
     """Standardized maximin D-optimal design with a least-favorable
     certificate.  A Wong game that HiGHS leaves unsolved fails the
-    certificate.  For m = 1 the seed is itself a grid game, and an
-    unsolved one raises local.MatrixGameError."""
+    certificate.  For m = 1 the seed is itself a grid game; an unsolved
+    one (local.MatrixGameError) falls back to the band mixture seed of
+    m > 1, and the certificate decides."""
     betas = grid.values
     if len(betas) == 1:  # a single parameter value is the local problem
         return solve_local(model, float(betas[0]))
     crit = Criterion.maximin(model, betas)
+    seed = None
     if model.m == 1:  # the grid problem is a linear program
         x = build_grid(model.design_interval)
-        w = _grid_maximin_lp(stacked_scores(model, x, betas), crit.offsets)
-    else:
-        x, w = band_seed(model, betas[0], betas[-1])
-    return refine(model, crit, x, w)
+        try:
+            seed = x, _grid_maximin_lp(model, x, betas, crit.offsets)
+        except MatrixGameError:
+            pass
+    if seed is None:
+        seed = band_seed(model, betas[0], betas[-1])
+    return refine(model, crit, *seed)

@@ -13,6 +13,7 @@ import pytest
 from optdesign import (
     EXP1,
     EXP2,
+    EXP3,
     BetaGrid,
     DesignMeasure,
     ParameterPrior,
@@ -147,6 +148,15 @@ class TestVerifyCommand:
         out = tmp_path / "d.json"
         assert main(["maximin", "--model", "exp1", "--beta-range", "1:10",
                      "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+
+    def test_support_point_just_outside_the_interval(self, tmp_path):
+        # check_points accepts 1 + 5e-13; the audit once dropped it from
+        # its grid and indexed past the end
+        out = tmp_path / "d.json"
+        design = DesignMeasure((0.0, local_design(EXP3, 2.0).points[1],
+                                1.0 + 5e-13), (1.0 / 3.0,) * 3)
+        write_artifact(str(out), EXP3, 2.0, design)
         assert main(["verify", str(out)]) == 0
 
     def test_tampered_design_fails(self, tmp_path):

@@ -9,6 +9,7 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 import optdesign.io
 import optdesign.local
+import optdesign.maximin
 
 from optdesign import (
     EXP1,
@@ -651,10 +652,108 @@ class TestMatrixGameFailsClosed:
         monkeypatch.setattr(optdesign.local, "_run_game", _failed_run)
         design, cert = solve_maximin(EXP2, BetaGrid(1.0, 4.0, 20))
         assert not cert.passed and design.n >= 2
-        # the m = 1 seed is the grid game itself
-        with pytest.raises(MatrixGameError):
-            solve_maximin(EXP1, BetaGrid(1.0, 50.0))
+        # the m = 1 seed is the grid game itself: unsolved, it falls back to
+        # the band seed, and the failed audit decides
+        design, cert = solve_maximin(EXP1, BetaGrid(1.0, 50.0))
+        assert not cert.passed and cert.max_directional_derivative == math.inf
+        assert cert.least_favorable_weights is None and design.n >= 1
 
+    def test_unsolved_seed_game_falls_back_to_the_band_seed(
+            self, maximin_results, monkeypatch):
+        def unsolved(model, x, betas, offsets):
+            raise MatrixGameError("seed game unsolved")
+
+        monkeypatch.setattr(optdesign.maximin, "_grid_maximin_lp", unsolved)
+        design, cert = solve_maximin(EXP1, BetaGrid(1.0, 50.0))
+        want = maximin_results[50][0]
+        assert cert.passed and design.n == want.n == 4
+        np.testing.assert_allclose(design.points_array(), want.points_array(),
+                                   rtol=0.0, atol=1e-6)
+
+
+
+def _exp1_seed(B):
+    """The m = 1 seed of solve_maximin for EXP1 on [1, B], from its block
+    oracle."""
+    betas = BetaGrid(1.0, float(B)).values
+    offsets = Criterion.maximin(EXP1, betas).offsets
+    return optdesign.maximin._grid_maximin_lp(
+        EXP1, build_grid(EXP1.design_interval), betas, offsets)
+
+
+class TestLazySeedGame:
+    """The m = 1 seed game reads its payoff by blocks: the same mixed
+    strategy as the dense game, from a fraction of its entries."""
+
+    @pytest.mark.parametrize("B", [12, 150])
+    def test_seed_matches_the_dense_game(self, B):
+        np.testing.assert_allclose(_exp1_seed(B),
+                                   _least_favorable_lp(_exp1_grid_game(B)),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_seed_scores_at_most_half_the_game(self, monkeypatch):
+        sizes, real = [], optdesign.maximin.stacked_scores
+
+        def counting(model, x, betas, dx=False):
+            F = real(model, x, betas, dx)
+            sizes.append(F.size)
+            return F
+
+        monkeypatch.setattr(optdesign.maximin, "stacked_scores", counting)
+        mu = _exp1_seed(150)
+        assert len(sizes) >= 2
+        assert sum(sizes) <= 0.5 * len(mu) * 400
+
+    def test_non_finite_score_raises_before_any_lp(self, monkeypatch):
+        x = build_grid(EXP1.design_interval)
+        bad = x[10 * _GAME_STRIDE]  # a row of the starting stride
+
+        def score(x, beta):
+            f = EXP1.score(x, beta)
+            return np.where((np.asarray(x) == bad)[..., None], np.nan, f)
+
+        def no_model():
+            raise AssertionError("a non-finite seed game built a HiGHS model")
+
+        model = Model(name="nan-on-a-stride-row", m=1, m_eta=0,
+                      design_interval=EXP1.design_interval,
+                      beta_range=EXP1.beta_range, score=score,
+                      analytic_local=EXP1.analytic_local)
+        monkeypatch.setattr(optdesign.local, "_Highs", no_model)
+        with pytest.raises(ArithmeticError, match="non-finite payoff"):
+            solve_maximin(model, BetaGrid(1.0, 50.0))
+
+
+class TestSupportOffTheInterval:
+    """check_points accepts a design point up to 1e-12 outside the
+    interval; the audit reads the support check at that point itself."""
+
+    CASES = [(EXP3, 2.0, -1, 5e-13), (EXP2, 3.0, 0, -5e-13)]
+
+    @staticmethod
+    def _shifted(model, beta, i, eps):
+        design = local_design(model, beta)
+        points = list(design.points)
+        points[i] += eps
+        return design, DesignMeasure(tuple(points), design.weights)
+
+    @pytest.mark.parametrize("case", CASES, ids=["exp3-above-1", "exp2-below-0"])
+    def test_audit_grid_holds_the_support(self, case):
+        _, shifted = self._shifted(*case)
+        x = shifted.points_array()
+        ax = audit_grid(case[0].design_interval, shifted)
+        assert ax[np.searchsorted(ax, x)].tolist() == x.tolist()
+        assert np.all(np.diff(ax) > 0.0)
+
+    @pytest.mark.parametrize("case", CASES, ids=["exp3-above-1", "exp2-below-0"])
+    def test_certify_passes_the_shifted_design(self, case):
+        model, beta = case[:2]
+        design, shifted = self._shifted(*case)
+        crit = Criterion.local(beta)
+        cert, want = certify(model, shifted, crit), certify(model, design, crit)
+        assert cert.passed and want.passed
+        assert abs(cert.max_directional_derivative
+                   - want.max_directional_derivative) <= 1e-9
 
 def _h_extended(x, beta):
     """h(0, x, 1, beta) in extended precision: the double h_function
