@@ -9,7 +9,6 @@ optimal-design support grow with parameter uncertainty.
 from .bayes import (
     ParameterPrior,
     averaged_directional_derivative,
-    bayes_a_criterion,
     bayes_criterion,
     quadrature,
     solve_bayes,
@@ -80,7 +79,6 @@ __all__ = [
     "ScaleFunction",
     "TheoryReport",
     "averaged_directional_derivative",
-    "bayes_a_criterion",
     "bayes_criterion",
     "canonical_merge",
     "check_condition_2_9",

@@ -17,20 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from .design import DesignMeasure, NEG_INF, as_count, det_info
+from .design import DesignMeasure, NEG_INF, as_count
 from .local import (
     Criterion,
     band_seed,
-    info_stack,
     local_offsets,
-    local_stack,
     maximize_weighted_logdet,
     refine,
     stacked_scores,
 )
 from .models import Model
-
-POS_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -207,22 +203,3 @@ def solve_bayes(model: Model, prior: ParameterPrior):
                                  model.m)[0]
     return refine(model, crit, x, w)
 
-
-def bayes_a_criterion(
-    design: DesignMeasure, model: Model, prior: ParameterPrior
-) -> float:
-    """Prior average of trace(M^{-1}(xi)) / trace(M^{-1}(xi[beta])).
-
-    Evaluation only; returns the plus-infinity sentinel when M is singular
-    at some node (the quantity is minimization-type).
-    """
-    nodes, qw = quadrature(prior)
-    if not np.all(det_info(design, model, nodes) > 0.0):
-        return POS_INF
-    P, W, _ = local_stack(model, nodes)
-    M = info_stack(stacked_scores(model, design.points_array(), nodes),
-                   design.weights_array())
-    Mloc = info_stack(stacked_scores(model, P, nodes), W)
-    tr = np.trace(np.linalg.inv(M), axis1=1, axis2=2)
-    tr_loc = np.trace(np.linalg.inv(Mloc), axis1=1, axis2=2)
-    return float(qw @ (tr / tr_loc))

@@ -9,7 +9,6 @@ two-column text.  Exit status 0 means every certificate or check passed,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ from .bayes import ParameterPrior, bayes_criterion, solve_bayes
 from .io import verify_artifact, write_artifact, write_plot_data
 from .local import solve_local
 from .maximin import BetaGrid, maximin_criterion, solve_maximin
-from .models import Model, get_model, make_logistic
+from .models import Model, get_model
 from .scales import identity, logarithm
 from .theory import (
     DecayEnvelope,
@@ -57,13 +56,12 @@ def _parse_range(text: str):
         raise argparse.ArgumentTypeError(f"bad range {text!r} (want LO:HI): {exc}")
 
 
-def _model_for(name: str, beta_hi: float) -> Model:
-    """The logistic design interval must contain every local optimum, so it
-    is widened with the parameter range; other models have fixed intervals."""
+def _model_for(name: str, x_max: float) -> Model:
+    """The named model, on [lo, x_max] when its interval grows with the
+    parameter range (Model.widen) so that it holds every local optimum;
+    a fixed interval stays."""
     model = get_model(name)
-    if name == "logistic":
-        return make_logistic(beta_hi + 5.0)
-    return model
+    return model if model.widen is None else model.widen(x_max)
 
 
 def _report_design(design, cert, out, model, criterion, plot_prefix) -> int:
@@ -84,7 +82,7 @@ def _report_design(design, cert, out, model, criterion, plot_prefix) -> int:
 
 
 def _cmd_local(args) -> int:
-    model = _model_for(args.model, args.beta)
+    model = _model_for(args.model, args.beta + 5.0)
     design, cert = solve_local(model, args.beta)
     return _report_design(design, cert, args.out, model, args.beta,
                           args.plot_data)
@@ -92,15 +90,13 @@ def _cmd_local(args) -> int:
 
 def _cmd_bayes(args) -> int:
     prior = _parse_prior(args.prior, args.quad)
-    if args.model == "logistic":
-        # keep every local optimum interior: twice the truncation point for
-        # the truncated-exponential prior, a flat margin otherwise
-        if prior.kind == "trunc_exp":
-            model = make_logistic(2.0 / prior.params[0])
-        else:
-            model = make_logistic(prior.support_interval[1] + 5.0)
+    # keep every local optimum interior: twice the truncation point for the
+    # truncated-exponential prior, a flat margin otherwise
+    if prior.kind == "trunc_exp":
+        x_max = 2.0 / prior.params[0]
     else:
-        model = get_model(args.model)
+        x_max = prior.support_interval[1] + 5.0
+    model = _model_for(args.model, x_max)
     design, cert = solve_bayes(model, prior)
     value = bayes_criterion(design, model, prior, standardized=True)
     print(f"standardized criterion: {value:.9f}")
@@ -109,7 +105,7 @@ def _cmd_bayes(args) -> int:
 
 def _cmd_maximin(args) -> int:
     lo, hi = args.beta_range
-    model = _model_for(args.model, hi)
+    model = _model_for(args.model, hi + 5.0)
     grid = BetaGrid(lo, hi, args.beta_grid)
     design, cert = solve_maximin(model, grid)
     value, argmin = maximin_criterion(design, model, grid)
@@ -126,13 +122,6 @@ def _cmd_verify(args) -> int:
     return 0 if cert.passed else 1
 
 
-def _theory_defaults(name: str):
-    """Scale, envelope, and half-efficiency band per model."""
-    if name == "logistic":
-        return identity(), DecayEnvelope("exponential", 4.0 * math.e, 1.0), 1.0
-    return logarithm(), DecayEnvelope("exponential", math.e ** 2, 2.0), math.log(2.0)
-
-
 def _print_report(r) -> int:
     print(f"check {r.name} on {r.domain}")
     print(f"violations: {r.violations}, worst margin: {r.worst_margin:.3e}")
@@ -146,13 +135,12 @@ def _print_report(r) -> int:
 
 def _cmd_theory(args) -> int:
     lo, hi = args.beta_range
-    model = _model_for(args.model, hi)
-    scale, envelope, lam_default = _theory_defaults(args.model)
-    if args.scale == "identity":
-        scale = identity()
-    elif args.scale == "log":
-        scale = logarithm()
-    lam = args.lam if args.lam is not None else lam_default
+    model = _model_for(args.model, hi + 5.0)
+    scale_name, c1, gamma, lam = model.theory_defaults
+    scale = {"log": logarithm, "identity": identity}[args.scale or scale_name]()
+    envelope = DecayEnvelope("exponential", c1, gamma)
+    if args.lam is not None:
+        lam = args.lam
 
     if args.check == "q-decay":
         samples = scale.invert(
@@ -175,7 +163,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_growth(args) -> int:
     Bs = [float(b) for b in args.B.split(",")]
-    model = _model_for(args.model, max(Bs))
+    model = _model_for(args.model, max(Bs) + 5.0)
     rows = growth_study(model, args.criterion, Bs, csv_path=args.out)
     status = 0
     for r in rows:

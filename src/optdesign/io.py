@@ -19,7 +19,7 @@ from .bayes import ParameterPrior, prior_criterion
 from .design import DesignMeasure
 from .local import Criterion, EquivalenceCertificate, MatrixGameError, certify
 from .maximin import BetaGrid
-from .models import Model, get_model, make_logistic
+from .models import Model, get_model
 
 
 def design_to_json(design: DesignMeasure) -> str:
@@ -70,8 +70,8 @@ def read_artifact(path: str) -> dict:
 def _model_from_doc(doc: dict) -> Model:
     model = get_model(doc["model"])
     interval = tuple(doc.get("design_interval", model.design_interval))
-    if model.name == "logistic" and interval != model.design_interval:
-        model = make_logistic(interval[1])
+    if model.widen is not None and interval != model.design_interval:
+        model = model.widen(interval[1])
     if tuple(model.design_interval) != interval:
         raise ValueError(f"stored design interval {list(interval)} differs "
                          f"from the {model.name} model's "

@@ -43,6 +43,16 @@ class Model:
     the same broadcast contract.  The polish then has the exact Jacobian
     of the log-efficiencies, for the mean and the minimum alike; without
     it SLSQP differences them.
+
+    ``widen(x_max)``, if given, is the same model on [lo, x_max]: a model
+    whose local optima move with beta (the logistic model's sits at beta
+    itself) needs an interval that grows with the parameter range.  The CLI
+    and the artifact reader rebuild the model through it; ``None`` keeps
+    the interval fixed.
+
+    ``theory_defaults`` are the ``theory`` command's defaults: the scale
+    ("log" or "identity") on which Q decays, the constants (c1, gamma) of
+    its exponential envelope c1 e^(-gamma |z|), and the band radius lambda.
     """
 
     name: str
@@ -58,6 +68,8 @@ class Model:
     score_dx: Optional[Callable[[np.ndarray, float], np.ndarray]] = field(
         default=None, repr=False
     )
+    widen: Optional[Callable[[float], "Model"]] = field(default=None, repr=False)
+    theory_defaults: tuple = ("log", math.e ** 2, 2.0, math.log(2.0))
 
     def __post_init__(self):
         if not 0 <= self.m_eta < self.m:
@@ -65,6 +77,9 @@ class Model:
         if len(self.fixed_support) != self.m_eta:
             raise ValueError("fixed_support must have exactly m_eta entries")
         lo, hi = self.design_interval
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"design interval [{lo}, {hi}] needs finite "
+                             "ends lo < hi")
         for x in self.fixed_support:
             if not lo <= x <= hi:
                 raise ValueError(f"fixed support point {x} outside design interval")
@@ -177,6 +192,8 @@ def make_logistic(x_max: float = 30.0) -> Model:
         score=_logistic_score,
         score_dx=_logistic_score_dx,
         analytic_local=local,
+        widen=make_logistic,
+        theory_defaults=("identity", 4.0 * math.e, 1.0, 1.0),
     )
 
 

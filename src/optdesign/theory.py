@@ -143,13 +143,16 @@ def check_condition_2_9(
 ) -> TheoryReport:
     """Gram-determinant dominance by sums of local-design determinants.
 
-    Checks the model-specific pointwise inequality (single-point dominations
-    at the fixed support for the partially linear models, the
-    scaled-information bound for the scalar model) and reports the smallest
-    constant c0 that makes the determinant-sum form hold over the sampled
-    domain.  Each determinant is one stacked call over the parameter grid,
-    and the local designs of all tuples one :func:`local_dets` call.
+    Checks the pointwise inequality that the model's structure gives
+    (single-point dominations at the fixed support for a partially linear
+    model, the determinant-sum form itself for a one-parameter model) and
+    reports the smallest constant c0 that makes the determinant-sum form
+    hold over the sampled domain; ValueError for any other model.  Each
+    determinant is one stacked call over the parameter grid, and the local
+    designs of all tuples one :func:`local_dets` call.
     """
+    if not model.fixed_support and model.m != 1:
+        raise ValueError(f"no dominance recipe for model {model.name!r}")
     betas = np.asarray(beta_grid, dtype=float)
     b_lo, b_hi = float(betas.min()), float(betas.max())
     tuples = [tuple(float(v) for v in x_tuple) for x_tuple in x_samples]
@@ -167,17 +170,16 @@ def check_condition_2_9(
     c0 = 0.0
     for i, x_tuple in enumerate(tuples):
         im = gram_determinant(x_tuple, model, betas)
-        if model.name == "exp1":
-            # scalar model: the clipped local design dominates pointwise
-            bound = sums[:, i]
-        elif model.fixed_support:
+        if model.fixed_support:
             # partially linear models: each coordinate joined to the fixed
             # support dominates on its own
             bound = sum(
                 gram_determinant(sorted(model.fixed_support + (xv,)), model, betas)
                 for xv in x_tuple)
         else:
-            raise ValueError(f"no dominance recipe for model {model.name!r}")
+            # one-parameter model: the local design at the clipped 1/x
+            # dominates pointwise (EXP1's; another model may violate it)
+            bound = sums[:, i]
         margin = im - bound
         violations += int(np.count_nonzero(
             ~(margin <= 1e-12 * np.maximum(im, 1e-300))))

@@ -14,7 +14,6 @@ from optdesign import (
     DesignMeasure,
     ParameterPrior,
     averaged_directional_derivative,
-    bayes_a_criterion,
     bayes_criterion,
     information_matrix,
     local_design,
@@ -26,7 +25,7 @@ from optdesign import (
 )
 import optdesign.bayes
 import optdesign.local
-from optdesign.bayes import POS_INF, _gauss_legendre, prior_criterion
+from optdesign.bayes import _gauss_legendre, prior_criterion
 from optdesign.local import SingularInformationError, certify
 
 
@@ -346,33 +345,3 @@ class TestWeightSolve:
         assert cert.passed
         assert np.max(np.abs(d - EXP2.m)) <= 1e-10 * EXP2.m
 
-
-class TestTraceCriterion:
-    def test_local_design_scores_one(self):
-        d = local_design(EXP1, 2.0)
-        got = bayes_a_criterion(d, EXP1, ParameterPrior.point_mass(2.0))
-        np.testing.assert_allclose(got, 1.0, rtol=1e-10)
-
-    def test_scalar_point_example(self):
-        got = bayes_a_criterion(
-            DesignMeasure.point_mass(0.4), EXP1, ParameterPrior.point_mass(2.0)
-        )
-        # trace ratio = (1 / (0.16 e^{-1.6})) / (2e)^2
-        want = (1.0 / (0.16 * math.exp(-1.6))) / (2.0 * math.e) ** 2
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_never_below_one_for_scalar_model(self):
-        # for a one-parameter model the trace ratio is an inverse efficiency
-        rng = np.random.default_rng(9)
-        prior = ParameterPrior.uniform(1.0, 10.0)
-        for _ in range(25):
-            d = DesignMeasure.from_arrays(
-                rng.uniform(0.01, 1.0, 3), rng.uniform(0.1, 1.0, 3)
-            )
-            assert bayes_a_criterion(d, EXP1, prior) >= 1.0 - 1e-10
-
-    def test_singular_gives_sentinel(self):
-        got = bayes_a_criterion(
-            DesignMeasure.point_mass(0.3), EXP2, ParameterPrior.point_mass(2.0)
-        )
-        assert got == POS_INF

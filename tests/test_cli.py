@@ -14,6 +14,7 @@ from optdesign import (
     EXP1,
     EXP2,
     EXP3,
+    LOGISTIC,
     BetaGrid,
     DesignMeasure,
     ParameterPrior,
@@ -228,6 +229,33 @@ class TestArtifactFailsClosed:
         with pytest.raises(ValueError, match="design interval"):
             verify_artifact(path)
 
+    def test_logistic_artifact_is_rebuilt_on_its_interval(self, tmp_path):
+        out = tmp_path / "logi.json"
+        assert main(["maximin", "--model", "logistic", "--beta-range", "1:20",
+                     "--beta-grid", "100", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["design_interval"] == [0.0, 25.0]
+        assert verify_artifact(str(out)).passed
+        # the widened model keeps 0 as its left end: [1, 25] is foreign
+        doc["design_interval"] = [1.0, 25.0]
+        out.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="design interval"):
+            verify_artifact(str(out))
+
+    def test_logistic_artifact_on_an_infinite_interval_is_rejected(self, tmp_path):
+        # on [0, inf) the audit grid is {5, inf}, where this design would
+        # pass; on [0, 30] its derivative peaks at 5.53
+        out = tmp_path / "inf.json"
+        write_artifact(str(out), LOGISTIC, 2.0, DesignMeasure.point_mass(5.0))
+        cert = verify_artifact(str(out))
+        assert not cert.passed
+        assert cert.max_directional_derivative == pytest.approx(5.53, abs=0.01)
+        doc = json.loads(out.read_text())
+        doc["design_interval"] = [0.0, math.inf]
+        out.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="design interval"):
+            verify_artifact(str(out))
+
 
 class TestBayesCommand:
     def test_uniform_prior(self, tmp_path, capsys):
@@ -296,6 +324,20 @@ class TestTheoryCommand:
         rc = main(["theory", "--check", "cond29", "--model", "exp2",
                    "--beta-range", "1:20", "--samples", "15"])
         assert rc == 0
+
+    @pytest.mark.parametrize("model, rc, violations, c0", [
+        ("exp1", 0, 0, 1.0000000000000069),
+        # the one-parameter recipe guesses EXP1's local designs at 1/x,
+        # which do not dominate the logistic Gram determinants
+        ("logistic", 1, 315, 35765934.68003281)])
+    def test_cond29_one_parameter_recipe(self, capsys, model, rc, violations,
+                                         c0):
+        assert main(["theory", "--check", "cond29", "--model", model,
+                     "--beta-range", "1:20", "--samples", "15"]) == rc
+        text = capsys.readouterr().out
+        assert f"violations: {violations}," in text
+        got = float(re.search(r"c0 = (\S+)", text).group(1))
+        assert got == pytest.approx(c0, rel=1e-9)
 
 
 class TestGrowthCommand:

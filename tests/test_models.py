@@ -17,7 +17,6 @@ from optdesign import (
     DesignMeasure,
     Model,
     ParameterPrior,
-    bayes_a_criterion,
     bayes_criterion,
     get_model,
     gram_determinant,
@@ -91,6 +90,25 @@ class TestModelSpec:
         assert m.design_interval == (0.0, 12.0)
         P, W = m.analytic_local(np.array([20.0, 5.0]))
         assert P.tolist() == [[12.0], [5.0]] and W.tolist() == [[1.0], [1.0]]
+        # the logistic interval grows with the parameter range; the
+        # exponential models keep [0, 1]
+        assert LOGISTIC.widen(12.0).design_interval == (0.0, 12.0)
+        assert [mod.widen for mod in (EXP1, EXP2, EXP3)] == [None] * 3
+
+    @pytest.mark.parametrize("x_max", [math.inf, math.nan, 0.0, -5.0])
+    def test_design_interval_must_be_finite_and_nonempty(self, x_max):
+        # on [0, inf) the audit grid is two points: nothing it certifies
+        # would hold on the continuum
+        with pytest.raises(ValueError, match="design interval"):
+            make_logistic(x_max)
+
+    def test_theory_defaults(self):
+        # Q decays on the log scale for the exponential models and on the
+        # identity scale for the logistic model
+        for model in (EXP1, EXP2, EXP3):
+            assert model.theory_defaults == (
+                "log", math.e ** 2, 2.0, math.log(2.0))
+        assert LOGISTIC.theory_defaults == ("identity", 4.0 * math.e, 1.0, 1.0)
 
 
 def _domain_draws(model):
@@ -273,13 +291,6 @@ class TestQEfficiency:
         with pytest.raises(ArithmeticError):
             bayes_criterion(DesignMeasure.point_mass(0.5), model,
                             ParameterPrior.uniform(1.0, 3.0))
-
-    def test_nan_determinant_raises_in_the_a_criterion(self):
-        # bayes_a_criterion tests singularity with det_info as well
-        with pytest.raises(ArithmeticError):
-            bayes_a_criterion(DesignMeasure.point_mass(0.5),
-                              _nan_at_half_model(),
-                              ParameterPrior.uniform(1.0, 3.0))
 
     def test_decay_envelope_on_log_grid(self):
         # Q <= e^2 e^(-2 |log b - log bt|) over a wide log grid

@@ -82,3 +82,47 @@ def test_each_model_callable_has_one_call_site():
         for name, found in call_sites(path.read_text(), path.stem).items():
             sites[name] += found
     assert sites == {name: [where] for name, where in MODEL_CALLABLES.items()}
+
+
+# model facts live on Model: no other module compares a name or builds a
+# built-in model on its own
+MODEL_NAMES = {"exp1", "exp2", "exp3", "logistic"}
+
+
+def model_name_branches(source: str) -> list:
+    """Comparisons against a .name attribute or a built-in model name, and
+    calls of make_logistic, in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = []
+            for op in [node.left, *node.comparators]:
+                operands += op.elts if isinstance(op, (ast.Tuple, ast.List,
+                                                       ast.Set)) else [op]
+            if any(isinstance(op, ast.Attribute) and op.attr == "name"
+                   or isinstance(op, ast.Constant) and op.value in MODEL_NAMES
+                   for op in operands):
+                found.append(f"line {node.lineno}: comparison")
+        elif (isinstance(node, ast.Call)
+              and "make_logistic" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))):
+            found.append(f"line {node.lineno}: make_logistic call")
+    return found
+
+
+def test_scan_finds_model_name_branches():
+    source = ('def f(model, args, name):\n'
+              '    if model.name == "exp1":\n        pass\n'
+              '    if args.model != "logistic":\n        pass\n'
+              '    if name in ("exp2", "exp3"):\n        pass\n'
+              '    if args.kind == "uniform":\n        pass\n'
+              '    return models.make_logistic(2.0), make_logistic(3.0)\n')
+    assert model_name_branches(source) == [
+        "line 2: comparison", "line 4: comparison", "line 6: comparison",
+        "line 10: make_logistic call", "line 10: make_logistic call"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "models.py"],
+                         ids=lambda p: p.name)
+def test_no_model_name_branch_outside_models(path):
+    assert model_name_branches(path.read_text()) == []

@@ -1,6 +1,7 @@
 """Structural checks: decay envelopes, dominance, lower-bound constructions."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -172,6 +173,14 @@ class TestGramDominance:
         tuples = [tuple(rng.uniform(0.0, 1.0, 3)) for _ in range(15)]
         rep = check_condition_2_9(EXP3, tuples, np.geomspace(1.0, 20.0, 25))
         assert rep.passed
+
+    def test_no_recipe_without_fixed_support_or_one_parameter(self):
+        # the recipe follows the structure, not the name: EXP2 without its
+        # fixed support has neither
+        model = dataclasses.replace(EXP2, name="free", m_eta=0,
+                                    fixed_support=())
+        with pytest.raises(ValueError, match="no dominance recipe"):
+            check_condition_2_9(model, [(0.25, 0.5)], [1.0, 2.0])
 
 
 class TestLowerBoundConstruction:
