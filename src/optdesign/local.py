@@ -13,7 +13,13 @@ the in-set rows and columns, so the seed scores a fraction of its grid.
 Weights for the q-weighted mean of log-determinants come from
 :func:`maximize_weighted_logdet`, a damped Newton solve on a few
 candidates.  A local design is the Bayes design of a point-mass prior:
-:func:`solve_local` runs that solve.
+:func:`solve_local` runs that solve.  The certificate's derivative
+f^T M^{-1} f is ||f R^{-1}||^2, R the QR factor of the weighted design
+scores, from one kernel, :func:`_squared_planes`, which the weight solve's
+closing maximum shares: the m planes of f R^{-1}, each a sum over the upper
+triangle of R^{-1}.  The mean weights each plane by the node weights q and
+sums, and never forms a per-node derivative; the Wong audit keeps one row
+per node.
 """
 
 from __future__ import annotations
@@ -42,7 +48,10 @@ from .scales import ScaleFunction, logarithm
 ACTIVE_TOL = 1e-5  # relative efficiency band of the maximin active set
 _SEED_POINTS = 2001  # uniform x-grid of the m = 1 maximin LP (build_grid)
 _AUDIT_POINTS = 8001  # uniform cover of the certificate's audit grid
-_NODE_BLOCK = 16  # parameter nodes per block of derivative evaluations
+# parameter nodes per block of the certificate's derivative: each plane of
+# a block is one (8, n) array; 8 was faster than 16 and 32 on the Bayes
+# audits of the benchmark (EXP1 with 200 nodes, EXP2 and EXP3 with 50)
+_NODE_BLOCK = 8
 _NEWTON_ITERS = 60  # Newton steps of the weight solve
 _POLISH_ITERS = 400  # SLSQP iterations of the polish
 _EXCHANGE_ROUNDS = 8  # refine: polish-certify-exchange rounds
@@ -188,11 +197,10 @@ def maximize_weighted_logdet(Fs: np.ndarray, q: np.ndarray, w0: np.ndarray,
         wS[wS < 1e-12] = 0.0
         w[S] = wS / wS.sum()
     try:
-        G = np.matmul(Fs, _inverse_factor(Fs, w))
-        maxd = float((q @ (G ** 2).sum(axis=2)).max())
+        Rinv = _inverse_factor(Fs, w)
     except np.linalg.LinAlgError:
-        maxd = math.inf
-    return w, maxd, history
+        return w, math.inf, history
+    return w, float(_weighted_derivative(q, Fs, Rinv).max()), history
 
 
 def band_mixture(model: Model, scale: ScaleFunction, beta_min: float,
@@ -246,15 +254,44 @@ def directional_derivative(
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
-    """Yield (j, d), d[i, k] = f(x_k, b)^T M^{-1}(xi, b) f(x_k, b) for the
-    nodes b = betas[j + i], in blocks of _NODE_BLOCK nodes so that the score
-    stack at x stays at _NODE_BLOCK * len(x) * m entries.
+def _squared_planes(F: np.ndarray, Rinv: np.ndarray):
+    """Yield G_a^2 for the m planes G_a = sum_{b <= a} F[:, :, b] Rinv[:, b, a]
+    of the product F R^{-1}, each of shape (J, n), so that
+    f^T M^{-1} f = ||f R^{-1}||^2 = sum_a G_a^2: the one kernel of the
+    certificate's derivative.  R^{-1} from :func:`_inverse_factor` is upper
+    triangular, so plane a reads the a + 1 leading score columns, as
+    broadcast multiply-adds on (J, n) arrays; for m = 1 each entry is one
+    rounded product, as in a matrix product.  An overflow or a NaN score
+    gives a non-finite plane, which the callers check."""
+    for a in range(F.shape[2]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = F[:, :, 0] * Rinv[:, 0, a, None]
+            for b in range(1, a + 1):
+                G += F[:, :, b] * Rinv[:, b, a, None]
+            G *= G
+        yield G
 
-    d = ||f R^{-1}||^2, R the QR factor of the weighted design scores
-    (:func:`_inverse_factor`).  SingularInformationError for a design on
-    fewer than m points of positive weight, an exactly singular R, or a
-    non-finite derivative.
+
+def _weighted_derivative(q: np.ndarray, F: np.ndarray,
+                         Rinv: np.ndarray) -> np.ndarray:
+    """sum_j q_j f(x_k, beta_j)^T M_j^{-1} f(x_k, beta_j), shape (n,): the
+    node weights go onto each plane of :func:`_squared_planes`, so no
+    per-node derivative is formed.  With q finite and >= 0, a non-finite
+    plane entry leaves the sum non-finite (0 * inf and 0 * NaN are NaN)."""
+    total = np.zeros(F.shape[1])
+    for G2 in _squared_planes(F, Rinv):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += q @ G2
+    return total
+
+
+def _node_blocks(model: Model, design: DesignMeasure, betas, x):
+    """Yield (j, F, Rinv): the scores F at x and the inverse QR factors
+    Rinv of the weighted design scores (:func:`_inverse_factor`) for the
+    nodes b = betas[j + i], in blocks of _NODE_BLOCK nodes so that the
+    score stack at x stays at _NODE_BLOCK * len(x) * m entries.
+    SingularInformationError for a design on fewer than m points of
+    positive weight or an exactly singular R.
     """
     model.check_beta(betas)
     model.check_points(design.points)
@@ -267,9 +304,22 @@ def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
     except np.linalg.LinAlgError as exc:
         raise SingularInformationError("singular information matrix") from exc
     for j in range(0, len(betas), _NODE_BLOCK):
-        Fx = stacked_scores(model, x, betas[j:j + _NODE_BLOCK])
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (np.matmul(Fx, Rinv[j:j + _NODE_BLOCK]) ** 2).sum(axis=2)
+        yield (j, stacked_scores(model, x, betas[j:j + _NODE_BLOCK]),
+               Rinv[j:j + _NODE_BLOCK])
+
+
+def _node_derivatives(model: Model, design: DesignMeasure, betas, x):
+    """Yield (j, d), d[i, k] = f(x_k, b)^T M^{-1}(xi, b) f(x_k, b) for the
+    nodes b = betas[j + i] of each block of :func:`_node_blocks`: d is the
+    sum of the squared planes of :func:`_squared_planes`, the Wong audit's
+    payoff rows.  SingularInformationError as in :func:`_node_blocks`, and
+    for a non-finite derivative in any block.
+    """
+    for j, F, Rinv in _node_blocks(model, design, betas, x):
+        planes = _squared_planes(F, Rinv)
+        d = next(planes)
+        for G2 in planes:
+            d += G2
         if not np.all(np.isfinite(d)):
             raise SingularInformationError("non-finite directional derivative")
         yield j, d
@@ -355,11 +405,17 @@ class Criterion:
         return ld - self.offsets
 
     def derivative(self, model: Model, design: DesignMeasure, x) -> np.ndarray:
-        """Node-weighted directional derivative sum_j q_j d(x, xi, beta_j)."""
+        """Node-weighted directional derivative sum_j q_j d(x, xi, beta_j),
+        summed over the blocks of :func:`_node_blocks` by
+        :func:`_weighted_derivative`.  SingularInformationError as in
+        :func:`_node_blocks`, or for a non-finite total, which a NaN or inf
+        term of any node makes, whatever its weight."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         total = np.zeros(len(x))
-        for j, d in _node_derivatives(model, design, self.betas, x):
-            total += self.q[j:j + len(d)] @ d
+        for j, F, Rinv in _node_blocks(model, design, self.betas, x):
+            total += _weighted_derivative(self.q[j:j + len(F)], F, Rinv)
+        if not np.all(np.isfinite(total)):
+            raise SingularInformationError("non-finite directional derivative")
         return total
 
 

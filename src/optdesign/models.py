@@ -123,12 +123,18 @@ def _exp1_local(betas):
 
 def _exp2_score(x, beta):
     e = np.exp(-beta * x)
-    return np.stack([np.ones_like(e), -x * e], axis=-1)
+    F = np.empty(e.shape + (2,))
+    F[..., 0] = 1.0
+    F[..., 1] = -x * e
+    return F
 
 
 def _exp2_score_dx(x, beta):
     e = np.exp(-beta * x)
-    return np.stack([np.zeros_like(e), (beta * x - 1.0) * e], axis=-1)
+    F = np.empty(e.shape + (2,))
+    F[..., 0] = 0.0
+    F[..., 1] = (beta * x - 1.0) * e
+    return F
 
 
 def _exp2_local(betas):
@@ -140,12 +146,20 @@ def _exp3_score(x, beta):
     # alpha2 is fixed to 1: every determinant scales by alpha2^2 uniformly
     # over designs, so criteria ratios and maximizers do not depend on it.
     e = np.exp(-beta * x)
-    return np.stack([np.ones_like(e), e, -x * e], axis=-1)
+    F = np.empty(e.shape + (3,))
+    F[..., 0] = 1.0
+    F[..., 1] = e
+    F[..., 2] = -x * e
+    return F
 
 
 def _exp3_score_dx(x, beta):
     e = np.exp(-beta * x)
-    return np.stack([np.zeros_like(e), -beta * e, (beta * x - 1.0) * e], axis=-1)
+    F = np.empty(e.shape + (3,))
+    F[..., 0] = 0.0
+    F[..., 1] = -beta * e
+    F[..., 2] = (beta * x - 1.0) * e
+    return F
 
 
 def _exp3_local(betas):

@@ -33,10 +33,13 @@ from optdesign.bayes import prior_criterion
 from optdesign.design import NEG_INF, det_info, det_via_cauchy_binet
 from optdesign.local import (
     _GAME_STRIDE,
+    _NODE_BLOCK,
     Criterion,
     MatrixGameError,
     SingularInformationError,
+    _inverse_factor,
     _least_favorable_lp,
+    _node_derivatives,
     _run_game,
     audit_grid,
     band_mixture,
@@ -208,6 +211,118 @@ class TestDirectionalDerivative:
         with pytest.raises(SingularInformationError):
             certify(EXP3, DesignMeasure((0.0, 1.0), (0.5, 0.5)),
                     Criterion.local(1e-4))
+
+
+def _kernel_case(model, seed):
+    """A random design, one point in each of m + 3 equal cells of the
+    interval, with positive weights; 20 parameter nodes (three node blocks)
+    with random weights; and 400 random audit points.  Spread points and
+    betas of 2 to 5 keep cond(M) below 2e4 even for EXP3, so the
+    inverse-based oracle holds to 1e-12."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.design_interval
+    k = model.m + 3
+    design = DesignMeasure.from_arrays(
+        lo + (hi - lo) * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k,
+        rng.uniform(0.2, 1.0, k))
+    betas = rng.uniform(*((1.0, 25.0) if model is LOGISTIC else (2.0, 5.0)), 20)
+    q = rng.uniform(0.0, 1.0, 20)
+    return design, betas, q / q.sum(), np.sort(rng.uniform(lo, hi, 400))
+
+
+class TestDerivativeKernel:
+    """The certificate's f^T M^-1 f = ||f R^-1||^2, built plane by plane,
+    against the inverse of M."""
+
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3, LOGISTIC],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_inverse_oracle(self, model, seed):
+        design, betas, q, x = _kernel_case(model, seed)
+        Fd = stacked_scores(model, design.points_array(), betas)
+        Ms = info_stack(Fd, design.weights_array())
+        assert np.linalg.cond(Ms).max() < 2e4
+        want = dirderiv_stack(stacked_scores(model, x, betas), Ms)
+        d = np.concatenate([dj for _, dj in
+                            _node_derivatives(model, design, betas, x)])
+        np.testing.assert_allclose(d, want, rtol=1e-12)
+        np.testing.assert_allclose(
+            Criterion(betas, q, np.zeros(len(betas))).derivative(model, design, x),
+            q @ want, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_parameter_model_is_bit_identical_to_the_matrix_product(self, seed):
+        design, betas, q, x = _kernel_case(EXP1, seed)
+        Rinv = _inverse_factor(stacked_scores(EXP1, design.points_array(), betas),
+                               design.weights_array())
+        old = (np.matmul(stacked_scores(EXP1, x, betas), Rinv) ** 2).sum(axis=2)
+        d = np.concatenate([dj for _, dj in
+                            _node_derivatives(EXP1, design, betas, x)])
+        np.testing.assert_array_equal(d, old)
+        total = np.zeros(len(x))
+        for j in range(0, len(betas), _NODE_BLOCK):
+            total += q[j:j + _NODE_BLOCK] @ old[j:j + _NODE_BLOCK]
+        np.testing.assert_array_equal(
+            Criterion(betas, q, np.zeros(len(betas))).derivative(EXP1, design, x),
+            total)
+
+    @pytest.mark.parametrize("model", [EXP1, EXP2, EXP3, LOGISTIC],
+                             ids=lambda m: m.name)
+    def test_inverse_factor_is_exactly_upper_triangular(self, model):
+        # the planes sum over b <= a only: an entry below the diagonal
+        # would be dropped, not approximated
+        design, betas, _, _ = _kernel_case(model, 0)
+        R = _inverse_factor(stacked_scores(model, design.points_array(), betas),
+                            design.weights_array())
+        assert np.array_equal(R, np.triu(R))
+
+
+def _poisoned_model(value):
+    """An EXP2-like m = 2 model whose score at x = 0.5 under beta = 2 alone
+    is exp(value) in place of e^(-beta x): NaN for value NaN, an overflow
+    to inf for value 800."""
+    def score(x, beta):
+        x, beta = np.asarray(x), np.asarray(beta)
+        with np.errstate(over="ignore"):
+            e = np.exp(np.where((x == 0.5) & (beta == 2.0), value, -beta * x))
+        return np.stack(np.broadcast_arrays(1.0, -x * e), axis=-1)
+
+    return Model(name="poisoned", m=2, m_eta=0, design_interval=(0.0, 1.0),
+                 beta_range=(0.1, 10.0), score=score)
+
+
+class TestNonFiniteDerivativeFailsClosed:
+    """The mean path checks the node-weighted total once; a node weight of
+    0 must not hide the bad node's NaN or inf (0 * NaN and 0 * inf are NaN)."""
+
+    DESIGN = DesignMeasure((0.0, 0.3, 1.0), (0.4, 0.3, 0.3))
+    BETAS = np.array([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("value", [np.nan, 800.0], ids=["nan", "inf"])
+    def test_poisoned_point_is_on_the_audit_grid(self, value):
+        model = _poisoned_model(value)
+        assert 0.5 in audit_grid(model.design_interval, self.DESIGN)
+        F = stacked_scores(model, np.array([0.5]), self.BETAS)
+        assert not np.isfinite(F[1]).all() and np.isfinite(F[[0, 2]]).all()
+
+    @pytest.mark.parametrize("value", [np.nan, 800.0], ids=["nan", "inf"])
+    def test_mean_path_raises_at_a_zero_node_weight(self, value):
+        model = _poisoned_model(value)
+        crit = Criterion(self.BETAS, np.array([0.5, 0.0, 0.5]), np.zeros(3))
+        with pytest.raises(SingularInformationError, match="non-finite"):
+            crit.derivative(model, self.DESIGN, np.array([0.2, 0.5, 0.7]))
+        with pytest.raises(SingularInformationError, match="non-finite"):
+            certify(model, self.DESIGN, crit)
+
+    @pytest.mark.parametrize("value", [np.nan, 800.0], ids=["nan", "inf"])
+    def test_wong_path_raises(self, value):
+        model = _poisoned_model(value)
+        # offsets equal to the log-determinants put every node in the
+        # active set, the poisoned one included
+        g = Criterion(self.BETAS, None, np.zeros(3)).log_efficiencies(
+            model, self.DESIGN)
+        with pytest.raises(SingularInformationError, match="non-finite"):
+            certify(model, self.DESIGN, Criterion(self.BETAS, None, g))
 
 
 def _engine_problem(model):
